@@ -2,12 +2,11 @@
 //! memory and layout-aware targeting of hash-tree metadata.
 //!
 //! This is the attack vocabulary every layer shares — the functional
-//! engine's tests, the persistence rollback checks, and the
-//! `miv-adversary` campaign crate all speak [`TamperKind`]. The §3
-//! threat model says everything off-chip is attacker-controlled, so the
-//! [`Adversary`] view gives raw read/write access to an
-//! [`UntrustedMemory`] with no verification in the way; the taxonomy
-//! enumerates the paper's canonical attacks:
+//! engine's tests and the `miv-adversary` campaign crate all speak
+//! [`TamperKind`]. The §3 threat model says everything off-chip is
+//! attacker-controlled, so the [`Adversary`] view gives raw read/write
+//! access to an [`UntrustedMemory`] with no verification in the way;
+//! the taxonomy enumerates the paper's canonical attacks:
 //!
 //! * [`TamperKind::BitFlip`] — corrupt a stored value in place;
 //! * [`TamperKind::Replace`] — overwrite with attacker-chosen bytes;

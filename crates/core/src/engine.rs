@@ -140,8 +140,6 @@ pub struct MemoryBuilder {
     key: [u8; 16],
     cache_blocks: usize,
     initial_data: Option<Vec<u8>>,
-    memoize: bool,
-    flush_batch_lanes: usize,
     build_jobs: usize,
 }
 
@@ -164,8 +162,6 @@ impl MemoryBuilder {
             key: *b"miv default key!",
             cache_blocks: 256,
             initial_data: None,
-            memoize: true,
-            flush_batch_lanes: miv_hash::BATCH_LANES,
             build_jobs: 1,
         }
     }
@@ -176,21 +172,6 @@ impl MemoryBuilder {
     /// per-level hashing is fanned out.
     pub fn build_jobs(mut self, jobs: usize) -> Self {
         self.build_jobs = jobs;
-        self
-    }
-
-    /// Enables or disables verified-path memoization (default on); see
-    /// [`VerifiedMemory::set_memoization`].
-    pub fn memoize(mut self, on: bool) -> Self {
-        self.memoize = on;
-        self
-    }
-
-    /// Lane count for the batched flush (default
-    /// [`miv_hash::BATCH_LANES`]); `1` restores the scalar per-chunk
-    /// write-back path. See [`VerifiedMemory::set_flush_batch_lanes`].
-    pub fn flush_batch_lanes(mut self, lanes: usize) -> Self {
-        self.flush_batch_lanes = lanes;
         self
     }
 
@@ -292,7 +273,7 @@ impl MemoryBuilder {
         }
 
         let mut engine = VerifiedMemory {
-            cache: TrustedCache::new(self.cache_blocks, layout.block_bytes() as usize),
+            cache: TrustedCache::try_new(self.cache_blocks, layout.block_bytes() as usize)?,
             secure: vec![
                 [0u8; DIGEST_BYTES];
                 layout
@@ -313,8 +294,8 @@ impl MemoryBuilder {
             events: EventSink::disabled(),
             walk_cur: 0,
             walk_peak: 0,
-            memoize: self.memoize,
-            flush_batch_lanes: self.flush_batch_lanes.max(1),
+            memoize: true,
+            flush_batch_lanes: miv_hash::BATCH_LANES,
             epoch: 1,
             verified_at: vec![0; layout_chunks],
             masked: std::collections::BTreeSet::new(),
@@ -404,9 +385,8 @@ pub struct VerifiedMemory {
     /// Lane count for the batched flush (1 = scalar write-backs only).
     flush_batch_lanes: usize,
     /// Current quiescent epoch. Bumped whenever untrusted state may have
-    /// changed behind the engine's back (adversary access, raw DMA,
-    /// secure-root restoration), which invalidates every memo stamp at
-    /// once.
+    /// changed behind the engine's back (adversary access, cache
+    /// clear), which invalidates every memo stamp at once.
     epoch: u64,
     /// Per-chunk memo stamp: the epoch in which the chunk's memory image
     /// was last known to match its parent slot (0 = never).
@@ -1266,94 +1246,6 @@ impl VerifiedMemory {
             }
         }
         Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // DMA support (§5.7) — see the `dma` module for the public API docs.
-    // ------------------------------------------------------------------
-
-    /// Discards a cached block (even dirty — device DMA overwrote it).
-    pub(crate) fn drop_cached_block(&mut self, block: u64) {
-        self.end_epoch();
-        self.forget_block(block);
-    }
-
-    /// Raw device write into untrusted memory (no tree update).
-    pub(crate) fn adversary_write_raw(&mut self, phys: u64, data: &[u8]) {
-        self.end_epoch();
-        self.mem.write(phys, data);
-    }
-
-    /// Raw unchecked read from untrusted memory.
-    pub(crate) fn adversary_read_raw(&mut self, phys: u64, len: usize) -> Vec<u8> {
-        self.stats.unchecked_block_reads += 1;
-        self.mem.read_vec(phys, len)
-    }
-
-    /// Replaces the on-chip secure root (state restoration).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot count differs from the layout's.
-    pub(crate) fn restore_secure_root(&mut self, slots: &[[u8; DIGEST_BYTES]]) {
-        assert_eq!(
-            slots.len(),
-            self.secure.len(),
-            "secure-root slot count mismatch"
-        );
-        self.end_epoch();
-        self.secure.copy_from_slice(slots);
-    }
-
-    /// Recomputes `chunk`'s slot from its current memory image (the §5.7
-    /// rebuild step), flushing any remaining dirty cached blocks of the
-    /// chunk to memory first so the slot covers one coherent image. For
-    /// the incremental MAC the tag is computed from scratch with all
-    /// timestamps reset (footnote 7: the flush trick cannot rebuild MACs).
-    pub(crate) fn rebuild_chunk_slot(&mut self, chunk: u64) -> Result<()> {
-        let block_len = self.layout.block_bytes() as usize;
-        // Push surviving dirty blocks to memory without verification —
-        // the chunk's slot is stale by construction during a rebuild.
-        for j in 0..self.layout.blocks_per_chunk() {
-            let block = self.block_addr_of(chunk, j);
-            if self.cache.dirty(block) == Some(true) {
-                let data = self
-                    .cache
-                    .peek(block)
-                    .expect("dirty implies cached")
-                    .to_vec();
-                self.stats.block_writes += 1;
-                self.mem.write(block, &data);
-                self.cache.mark_clean(block);
-                self.masked.remove(&block);
-            }
-        }
-        let image = self.mem.read_vec(
-            self.layout.chunk_addr(chunk),
-            self.layout.chunk_bytes() as usize,
-        );
-        let slot = match &self.protection {
-            ProtImpl::Hash(hasher) => {
-                self.stats.hash_computations += 1;
-                hasher.digest(&image).into_bytes()
-            }
-            ProtImpl::Mac(mac) => {
-                self.stats.mac_updates += 1;
-                let tag = mac.mac_blocks(image.chunks_exact(block_len).map(|b| (b, false)));
-                build_mac_slot(tag, 0)
-            }
-        };
-        // Store through the parent Write path (pinned resident, as in a
-        // write-back) so ancestors update and verify normally.
-        let slot_loc = self.ensure_slot_resident(chunk)?;
-        if let Some((slot_block, _)) = slot_loc {
-            self.cache.pin(slot_block);
-        }
-        self.write_slot_resident(chunk, slot);
-        if let Some((slot_block, _)) = slot_loc {
-            self.cache.unpin(slot_block);
-        }
-        self.enforce_capacity()
     }
 
     // ------------------------------------------------------------------

@@ -82,14 +82,6 @@ pub enum ConfigError {
         /// Which size was zero (`"block"`, `"capacity"`, …).
         what: &'static str,
     },
-    /// A protected data segment is not a whole multiple of its block
-    /// size (the XOM per-block MAC layout needs whole blocks).
-    DataNotBlockMultiple {
-        /// Data segment size in bytes.
-        data_bytes: u64,
-        /// Block size in bytes.
-        block_bytes: u64,
-    },
 }
 
 impl fmt::Display for ConfigError {
@@ -142,14 +134,6 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroSize { what } => {
                 write!(f, "{what} size must be positive, got 0")
             }
-            ConfigError::DataNotBlockMultiple {
-                data_bytes,
-                block_bytes,
-            } => write!(
-                f,
-                "data segment must be a whole number of blocks ({data_bytes} B data, \
-                 {block_bytes} B block)"
-            ),
         }
     }
 }

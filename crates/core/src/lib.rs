@@ -15,15 +15,6 @@
 //!   [`Scheme::IHash`]) plus the unprotected [`Scheme::Base`].
 //! * [`storage`] — untrusted memory and the attacker model (bit flips,
 //!   relocation, replay).
-//! * [`dma`] — §5.7 device transfers: unchecked reads, raw DMA writes,
-//!   and local tree rebuilds that adopt the data.
-//! * [`multi`] — several mutually mistrusting compartments on one
-//!   processor (the open problem §5.5 flags, solved conservatively).
-//! * [`persist`] — save/restore across power cycles with rollback
-//!   rejection (the trusted-storage connection from related work).
-//! * [`xom`] — a per-block MAC memory in the style of XOM, *without*
-//!   freshness, used to demonstrate the §4.4 replay attack that hash
-//!   trees defeat.
 //!
 //! # Quick start
 //!
@@ -47,25 +38,20 @@
 #![warn(missing_docs)]
 
 pub mod adversary;
-pub mod dma;
 pub mod engine;
 pub mod error;
 pub mod hash_unit;
 pub mod layout;
-pub mod multi;
 pub mod observe;
-pub mod persist;
 pub mod storage;
 pub mod timing;
 pub mod trusted_cache;
-pub mod xom;
 
 pub use adversary::{parent_slot_addr, timestamp_byte_addr, Adversary, Snapshot, TamperKind};
 pub use engine::{EngineStats, MemoryBuilder, Protection, VerifiedMemory};
 pub use error::{ConfigError, IntegrityError};
 pub use layout::{ParentRef, TreeLayout};
 pub use observe::HashUnitObserver;
-pub use persist::{restore, FormatError, SavedImage, SavedRoot};
 pub use storage::UntrustedMemory;
 pub use timing::{
     CheckerConfig, CheckerEvent, CheckerStats, L2Controller, Scheme, TamperDetection,

@@ -3,7 +3,76 @@
 use std::fmt;
 use std::io;
 
-use miv_core::{ConfigError, FormatError};
+use miv_core::ConfigError;
+
+/// A persistent structure failed structural validation.
+///
+/// Raised by the on-disk format parsers (superblock, trusted-root blob,
+/// journal entries) — one typed vocabulary for "these bytes are not a
+/// well-formed X". Structural damage is *not* an integrity violation:
+/// it indicates corruption or truncation that any storage stack would
+/// notice, and is reported before (and independently of) the root
+/// verification that catches deliberate tampering.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FormatError {
+    /// The magic prefix did not match.
+    BadMagic {
+        /// Which artifact was being parsed.
+        what: &'static str,
+    },
+    /// Fewer bytes than the fixed header/frame requires.
+    Truncated {
+        /// Which artifact was being parsed.
+        what: &'static str,
+        /// Bytes the frame requires.
+        needed: u64,
+        /// Bytes actually present.
+        got: u64,
+    },
+    /// A header field holds a value outside its representable range.
+    FieldRange {
+        /// Which field was malformed.
+        what: &'static str,
+        /// The offending value.
+        value: u64,
+    },
+    /// A declared length does not match the bytes that follow.
+    LengthMismatch {
+        /// Which artifact was being parsed.
+        what: &'static str,
+        /// Length the header declares.
+        expected: u64,
+        /// Length actually present.
+        got: u64,
+    },
+    /// An embedded checksum over the frame did not match.
+    ChecksumMismatch {
+        /// Which artifact was being parsed.
+        what: &'static str,
+    },
+}
+
+impl fmt::Display for FormatError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FormatError::BadMagic { what } => write!(f, "{what}: bad magic"),
+            FormatError::Truncated { what, needed, got } => {
+                write!(f, "{what}: truncated ({got} bytes, need {needed})")
+            }
+            FormatError::FieldRange { what, value } => {
+                write!(f, "{what}: value {value} out of range")
+            }
+            FormatError::LengthMismatch {
+                what,
+                expected,
+                got,
+            } => write!(f, "{what}: length {got} does not match declared {expected}"),
+            FormatError::ChecksumMismatch { what } => write!(f, "{what}: checksum mismatch"),
+        }
+    }
+}
+
+impl std::error::Error for FormatError {}
 
 /// Anything the block store can fail with.
 ///

@@ -19,9 +19,11 @@
 //! internally consistent image therefore fails at open: its slots carry
 //! an older generation than the trusted root demands.
 
-use miv_core::{ConfigError, FormatError, TreeLayout};
+use miv_core::{ConfigError, TreeLayout};
 use miv_hash::digest::DIGEST_BYTES;
 use miv_hash::ChunkHasher;
+
+use crate::error::FormatError;
 
 /// Magic opening each superblock slot.
 pub const SUPERBLOCK_MAGIC: [u8; 8] = *b"MIVSBLK1";

@@ -48,7 +48,7 @@ pub mod format;
 pub mod medium;
 pub mod store;
 
-pub use error::StoreError;
+pub use error::{FormatError, StoreError};
 pub use format::{
     JournalEntry, StoreGeometry, Superblock, TrustedRoot, JOURNAL_MAGIC, ROOT_MAGIC,
     SUPERBLOCK_MAGIC, SUPER_SLOT_BYTES,

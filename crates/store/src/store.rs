@@ -43,7 +43,7 @@ use miv_core::ParentRef;
 use miv_hash::digest::DIGEST_BYTES;
 use miv_hash::ChunkHasher;
 
-use crate::error::StoreError;
+use crate::error::{FormatError, StoreError};
 use crate::format::{JournalEntry, StoreGeometry, Superblock, TrustedRoot};
 use crate::medium::StoreMedium;
 
@@ -111,7 +111,7 @@ impl RootStore for MemRootStore {
     fn load(&self) -> Result<TrustedRoot, StoreError> {
         match self.blob.borrow().as_deref() {
             Some(bytes) => Ok(TrustedRoot::from_bytes(bytes)?),
-            None => Err(StoreError::Format(miv_core::FormatError::Truncated {
+            None => Err(StoreError::Format(FormatError::Truncated {
                 what: "trusted root",
                 needed: 40,
                 got: 0,

@@ -1,152 +1,104 @@
 //! Trusted state on untrusted storage: hibernate, restore, and reject
-//! rollbacks.
+//! tampering and rollbacks.
 //!
 //! The related work the paper builds on (trusted databases on untrusted
 //! storage) treats a disk exactly like the paper treats RAM: bulk data
 //! lives outside the trust boundary and only the tree root must be kept
-//! safe. This example hibernates a verified memory to an (attackable)
-//! blob, restores it, and shows the two attacks the root defeats:
-//! tampering the stored image, and rolling the image back to an earlier
-//! version after the root moved on. It then moves from one-shot
-//! hibernation to a *live* disk: the `miv-store` verified block store,
-//! which keeps the tree on the device, commits atomically through a
-//! shadow superblock, and recovers a committed root after a mid-write
-//! power cut.
+//! safe. The `miv-store` verified block store keeps its hash-tree pages
+//! on the untrusted device and only a generation counter plus the root
+//! digests in trusted storage. This example hibernates a store (commit,
+//! power off, reopen), then shows the attacks the trusted root defeats:
+//! an offline bit flip on the powered-off disk, and a rollback of the
+//! whole disk to an earlier, internally consistent image. (Crash
+//! recovery has its own end-to-end check: `mivsim store fsck`.)
 //!
 //! ```text
 //! cargo run --example persistence
 //! ```
 
-use miv::core::persist::{restore, SavedImage};
-use miv::core::{MemoryBuilder, Protection};
 use miv::hash::digest::Md5Hasher;
-use miv::store::{BlockStore, CrashMedium, MemMedium, MemRootStore, StoreConfig, StoreError};
+use miv::store::{BlockStore, MemMedium, MemRootStore, RootStore, StoreConfig, StoreError};
 
-const KEY: [u8; 16] = *b"hibernation-key!";
+const CONFIG: StoreConfig = StoreConfig {
+    data_bytes: 16 * 1024,
+    page_bytes: 128,
+    cache_pages: 16,
+    journal_slots: 0, // sized automatically
+};
 
-fn main() {
-    // A running machine with application state.
-    let mut mem = MemoryBuilder::new()
-        .data_bytes(64 * 1024)
-        .key(KEY)
-        .cache_blocks(256)
-        .build();
-    mem.write(0x1000, b"savings = 5000 credits").unwrap();
+/// A data address no write below touches, so its page is never
+/// shadowed by the redo journal (a flip on a journaled page is healed by
+/// replay at open rather than detected).
+const COLD_ADDR: u64 = 0x3000;
 
-    // Hibernate: the image goes to untrusted storage, the root stays in
-    // the trust boundary (on-chip NVRAM, a TPM, a smartcard...).
-    let image = mem.export_state().unwrap();
-    let root = mem.export_root(Protection::HashTree, KEY);
-    println!(
-        "hibernated {} KiB to untrusted storage; {} digests stay on chip",
-        image.as_bytes().len() / 1024,
-        mem.secure_root().len()
-    );
+fn main() -> Result<(), StoreError> {
+    let disk = MemMedium::new(); // untrusted: the attacker may rewrite it
+    let nvram = MemRootStore::new(); // trusted: on-chip NVRAM, a TPM...
 
-    // Power back on: the pair verifies and the state is live again.
-    let mut revived = restore(&image, &root, 256, Box::new(Md5Hasher)).unwrap();
-    println!(
-        "restored: {:?}",
-        String::from_utf8_lossy(&revived.read_vec(0x1000, 22).unwrap())
-    );
-
-    // Attack 1: the stored image is modified on disk. Decoding is
-    // fallible — a malformed blob is rejected before any hashing — but
-    // a single flipped payload bit still decodes fine; only the tree
-    // check against the root catches it.
-    let mut bytes = SavedImage::from_bytes(image.as_bytes().to_vec())
-        .expect("the exported image always decodes")
-        .as_bytes()
-        .to_vec();
-    let idx = bytes.len() / 2;
-    bytes[idx] ^= 0x01;
-    let tampered = SavedImage::from_bytes(bytes).expect("a payload flip still decodes");
-    match restore(&tampered, &root, 256, Box::new(Md5Hasher)) {
-        Ok(_) => unreachable!("tampered image must not restore"),
-        Err(err) => println!("tampered image rejected: {err}"),
-    }
-
-    // Attack 2: rollback. The machine runs on (spends the savings), saves
-    // again; the attacker restores the OLD image hoping to refund.
-    revived.write(0x1000, b"savings =    0 credits").unwrap();
-    let _new_image = revived.export_state().unwrap();
-    let new_root = revived.export_root(Protection::HashTree, KEY);
-    match restore(&image, &new_root, 256, Box::new(Md5Hasher)) {
-        Ok(_) => unreachable!("rollback must not restore"),
-        Err(err) => println!("rollback to the old image rejected: {err}"),
-    }
-    println!("only the (image, root) pair the processor saved together is accepted.");
-
-    // Hibernation is one-shot; a live system wants a *disk*. The block
-    // store keeps the hash tree on the untrusted device and commits
-    // through a journal + shadow superblock, so a power cut in the
-    // middle of a write burst can never tear the committed state.
-    block_store_demo().expect("block store demo");
-}
-
-/// Open → write → crash → recover on the verified block store. The
-/// medium here is in-memory for a self-contained example; `FileMedium`
-/// drops in for a real file (see `mivsim store`).
-fn block_store_demo() -> Result<(), StoreError> {
-    println!("\n-- verified block store: crash and recover --");
-    let disk = MemMedium::new();
-    let nvram = MemRootStore::new(); // trusted root: on-chip NVRAM
-    let config = StoreConfig {
-        data_bytes: 16 * 1024,
-        page_bytes: 128,
-        cache_pages: 16,
-        journal_slots: 0, // sized automatically
-    };
-
-    // Create the store and commit a first generation.
-    let mut store = BlockStore::create(
-        CrashMedium::new(disk.clone()),
-        nvram.clone(),
-        config,
-        Box::new(Md5Hasher),
-    )?;
-    store.write(0x200, b"balance = 5000 credits")?;
+    // A running machine with application state, committed and powered
+    // off: the pages stay on disk, only the root leaves the device.
+    let mut store = BlockStore::create(disk.clone(), nvram.clone(), CONFIG, Box::new(Md5Hasher))?;
+    store.write(0x200, b"savings = 5000 credits")?;
     store.commit()?;
+    let geometry = store.geometry().clone();
     println!(
-        "generation {} committed after {} device steps",
+        "hibernated {} KiB to untrusted storage at generation {}; {} root digests stay trusted",
+        geometry.total_bytes() / 1024,
         store.generation(),
-        store.medium().steps()
+        nvram.load()?.roots.len()
     );
-
-    // Keep writing, then lose power before the next commit completes:
-    // the armed medium tears a device write in half and goes dead a
-    // few steps into the commit's journal burst.
-    let mut store = BlockStore::open(
-        CrashMedium::new(disk.clone()).arm(8),
-        nvram.clone(),
-        Box::new(Md5Hasher),
-        config.cache_pages,
-    )?
-    .0;
-    store.write(0x200, b"balance =    0 credits")?;
-    match store.commit() {
-        Err(StoreError::Crashed) => println!("power cut mid-commit (torn device write)"),
-        other => unreachable!("armed medium must crash the commit: {other:?}"),
-    }
     drop(store);
 
-    // Power back on: recovery replays the committed journal, discards
-    // the in-flight generation's frames, and the tree verifies against
-    // the trusted root — the committed balance is intact, not torn.
-    let (mut store, recovery) = BlockStore::open(
-        CrashMedium::new(disk),
-        nvram,
-        Box::new(Md5Hasher),
-        config.cache_pages,
-    )?;
+    // Power back on: the image verifies against the root and the state
+    // is live again. The attacker keeps a copy of this image for later.
+    let stale_image = disk.snapshot();
+    let mut store = reopen(&disk, &nvram)?;
     store.verify_all()?;
     println!(
-        "recovered generation {} ({} frames replayed, {} orphaned frames discarded)",
-        recovery.generation, recovery.replayed_entries, recovery.orphaned_entries
-    );
-    println!(
-        "recovered state: {:?}",
+        "restored: {:?}",
         String::from_utf8_lossy(&store.read_vec(0x200, 22)?)
     );
+    drop(store);
+
+    // Attack 1: one bit of a data page is flipped on the powered-off
+    // disk. The image still opens — its superblock is intact — but the
+    // tree walk against the trusted root rejects the page.
+    let honest_image = disk.snapshot();
+    let offset = geometry.main_offset() + geometry.layout().data_phys_addr(COLD_ADDR);
+    disk.flip(offset, 0x01);
+    match reopen(&disk, &nvram).and_then(|mut store| store.verify_all()) {
+        Ok(_) => unreachable!("a tampered image must not verify"),
+        Err(err) => println!("tampered image rejected: {err}"),
+    }
+    disk.restore(&honest_image);
+
+    // Attack 2: rollback. The machine runs on (spends the savings) and
+    // commits again; the attacker then puts the OLD image back, byte
+    // for byte, hoping for a refund. Only the trusted generation counter
+    // can tell the two self-consistent images apart — and it does.
+    let mut store = reopen(&disk, &nvram)?;
+    store.write(0x200, b"savings =    0 credits")?;
+    store.commit()?;
+    drop(store);
+    disk.restore(&stale_image);
+    match reopen(&disk, &nvram) {
+        Ok(_) => unreachable!("a rolled-back image must not open"),
+        Err(err) => println!("rollback to the old image rejected: {err}"),
+    }
+    println!("only the image matching the trusted root is accepted.");
     Ok(())
+}
+
+/// Reopens the store after a power cycle.
+fn reopen(
+    disk: &MemMedium,
+    nvram: &MemRootStore,
+) -> Result<BlockStore<MemMedium, MemRootStore>, StoreError> {
+    let (store, _recovery) = BlockStore::open(
+        disk.clone(),
+        nvram.clone(),
+        Box::new(Md5Hasher),
+        CONFIG.cache_pages,
+    )?;
+    Ok(store)
 }
