@@ -84,7 +84,18 @@ impl LookupResult {
 pub struct Cache {
     config: CacheConfig,
     policy: ReplacementPolicy,
-    sets: Vec<Vec<Line>>,
+    /// Every way of every set, set-major: set `s` is
+    /// `lines[s * assoc..(s + 1) * assoc]`.
+    lines: Vec<Line>,
+    assoc: usize,
+    /// `log2(line_bytes)`: the set index is `(addr >> line_shift) &
+    /// set_mask` (all geometry is powers of two).
+    line_shift: u32,
+    set_mask: u64,
+    /// Valid data and hash lines, kept current by `fill`, `invalidate`
+    /// and `flush` so [`occupancy`](Cache::occupancy) is O(1).
+    valid_data: u64,
+    valid_hash: u64,
     clock: u64,
     /// Xorshift state for [`ReplacementPolicy::Random`].
     rng_state: u64,
@@ -100,13 +111,15 @@ impl Cache {
 
     /// Creates an empty cache with an explicit replacement policy.
     pub fn with_policy(config: CacheConfig, policy: ReplacementPolicy) -> Self {
-        let sets = (0..config.sets())
-            .map(|_| vec![Line::empty(); config.assoc as usize])
-            .collect();
         Cache {
             config,
             policy,
-            sets,
+            lines: vec![Line::empty(); config.lines() as usize],
+            assoc: config.assoc as usize,
+            line_shift: config.line_bytes.trailing_zeros(),
+            set_mask: config.sets() - 1,
+            valid_data: 0,
+            valid_hash: 0,
             clock: 0,
             rng_state: 0x9e37_79b9_7f4a_7c15,
             stats: CacheStats::default(),
@@ -130,6 +143,34 @@ impl Cache {
         &self.config
     }
 
+    /// Index of the first way of the set holding `addr`.
+    fn set_base(&self, addr: u64) -> usize {
+        ((addr >> self.line_shift) & self.set_mask) as usize * self.assoc
+    }
+
+    /// The ways of the set holding `addr`.
+    fn set(&self, addr: u64) -> &[Line] {
+        let base = self.set_base(addr);
+        &self.lines[base..base + self.assoc]
+    }
+
+    /// The resident line for `addr`, if any.
+    fn find_mut(&mut self, addr: u64) -> Option<&mut Line> {
+        let tag = self.config.tag(addr);
+        let base = self.set_base(addr);
+        self.lines[base..base + self.assoc]
+            .iter_mut()
+            .find(|l| l.valid && l.tag == tag)
+    }
+
+    /// The occupancy counter for lines of `kind`.
+    fn valid_count(&mut self, kind: LineKind) -> &mut u64 {
+        match kind {
+            LineKind::Data => &mut self.valid_data,
+            LineKind::Hash => &mut self.valid_hash,
+        }
+    }
+
     /// Accumulated statistics.
     pub fn stats(&self) -> &CacheStats {
         &self.stats
@@ -148,12 +189,12 @@ impl Cache {
     pub fn lookup(&mut self, addr: u64, kind: LineKind, write: bool) -> LookupResult {
         self.clock += 1;
         let tag = self.config.tag(addr);
-        let set = self.config.set_index(addr) as usize;
+        let base = self.set_base(addr);
         let clock = self.clock;
         let stats = self.stats.kind_mut(kind);
         let counters = self.obs.kind(kind);
         let refresh = self.policy == ReplacementPolicy::Lru;
-        for line in &mut self.sets[set] {
+        for line in &mut self.lines[base..base + self.assoc] {
             if line.valid && line.tag == tag {
                 if refresh {
                     line.lru = clock;
@@ -182,15 +223,13 @@ impl Cache {
     /// Checks for presence without perturbing LRU or statistics.
     pub fn contains(&self, addr: u64) -> bool {
         let tag = self.config.tag(addr);
-        let set = self.config.set_index(addr) as usize;
-        self.sets[set].iter().any(|l| l.valid && l.tag == tag)
+        self.set(addr).iter().any(|l| l.valid && l.tag == tag)
     }
 
     /// Returns the dirty bit of a resident line, or `None` if absent.
     pub fn dirty(&self, addr: u64) -> Option<bool> {
         let tag = self.config.tag(addr);
-        let set = self.config.set_index(addr) as usize;
-        self.sets[set]
+        self.set(addr)
             .iter()
             .find(|l| l.valid && l.tag == tag)
             .map(|l| l.dirty)
@@ -207,19 +246,20 @@ impl Cache {
     pub fn fill(&mut self, addr: u64, kind: LineKind, dirty: bool) -> Option<Eviction> {
         self.clock += 1;
         let tag = self.config.tag(addr);
-        let set = self.config.set_index(addr) as usize;
+        let base = self.set_base(addr);
+        let set = &self.lines[base..base + self.assoc];
         assert!(
-            !self.sets[set].iter().any(|l| l.valid && l.tag == tag),
+            !set.iter().any(|l| l.valid && l.tag == tag),
             "fill of already-resident line {tag:#x}"
         );
         // Prefer an invalid way; otherwise pick a victim per policy
         // (under FIFO the stamp is insertion time — lookups don't refresh
         // it — so min-stamp doubles as oldest-inserted).
-        let way = match self.sets[set].iter().position(|l| !l.valid) {
+        let way = match set.iter().position(|l| !l.valid) {
             Some(w) => w,
             None => match self.policy {
                 ReplacementPolicy::Lru | ReplacementPolicy::Fifo => {
-                    let (w, _) = self.sets[set]
+                    let (w, _) = set
                         .iter()
                         .enumerate()
                         .min_by_key(|(_, l)| l.lru)
@@ -236,8 +276,9 @@ impl Cache {
             },
         };
         let victim = {
-            let old = self.sets[set][way];
+            let old = self.lines[base + way];
             if old.valid {
+                *self.valid_count(old.kind) -= 1;
                 let vstats = self.stats.kind_mut(old.kind);
                 let vcounters = self.obs.kind(old.kind);
                 vstats.evictions += 1;
@@ -255,7 +296,8 @@ impl Cache {
                 None
             }
         };
-        self.sets[set][way] = Line {
+        *self.valid_count(kind) += 1;
+        self.lines[base + way] = Line {
             tag,
             kind,
             valid: true,
@@ -269,15 +311,7 @@ impl Cache {
     ///
     /// Returns `true` if the line was present.
     pub fn mark_clean(&mut self, addr: u64) -> bool {
-        let tag = self.config.tag(addr);
-        let set = self.config.set_index(addr) as usize;
-        for line in &mut self.sets[set] {
-            if line.valid && line.tag == tag {
-                line.dirty = false;
-                return true;
-            }
-        }
-        false
+        self.find_mut(addr).map(|l| l.dirty = false).is_some()
     }
 
     /// Marks a resident line dirty without counting an access (used when a
@@ -285,32 +319,20 @@ impl Cache {
     ///
     /// Returns `true` if the line was present.
     pub fn mark_dirty(&mut self, addr: u64) -> bool {
-        let tag = self.config.tag(addr);
-        let set = self.config.set_index(addr) as usize;
-        for line in &mut self.sets[set] {
-            if line.valid && line.tag == tag {
-                line.dirty = true;
-                return true;
-            }
-        }
-        false
+        self.find_mut(addr).map(|l| l.dirty = true).is_some()
     }
 
     /// Removes the line for `addr`, returning its eviction record.
     pub fn invalidate(&mut self, addr: u64) -> Option<Eviction> {
-        let tag = self.config.tag(addr);
-        let set = self.config.set_index(addr) as usize;
-        for line in &mut self.sets[set] {
-            if line.valid && line.tag == tag {
-                line.valid = false;
-                return Some(Eviction {
-                    addr: line.tag,
-                    kind: line.kind,
-                    dirty: line.dirty,
-                });
-            }
-        }
-        None
+        let line = self.find_mut(addr)?;
+        line.valid = false;
+        let evicted = Eviction {
+            addr: line.tag,
+            kind: line.kind,
+            dirty: line.dirty,
+        };
+        *self.valid_count(evicted.kind) -= 1;
+        Some(evicted)
     }
 
     /// Drains every valid line, clearing the cache; dirty lines are
@@ -318,38 +340,26 @@ impl Cache {
     /// (§5.6.2).
     pub fn flush(&mut self) -> Vec<Eviction> {
         let mut out = Vec::new();
-        for set in &mut self.sets {
-            for line in set {
-                if line.valid {
-                    out.push(Eviction {
-                        addr: line.tag,
-                        kind: line.kind,
-                        dirty: line.dirty,
-                    });
-                    line.valid = false;
-                    line.dirty = false;
-                }
+        for line in &mut self.lines {
+            if line.valid {
+                out.push(Eviction {
+                    addr: line.tag,
+                    kind: line.kind,
+                    dirty: line.dirty,
+                });
+                line.valid = false;
+                line.dirty = false;
             }
         }
+        self.valid_data = 0;
+        self.valid_hash = 0;
         out
     }
 
     /// Number of valid lines of each kind `(data, hash)` — the occupancy
     /// split used in pollution analyses.
     pub fn occupancy(&self) -> (u64, u64) {
-        let mut data = 0;
-        let mut hash = 0;
-        for set in &self.sets {
-            for line in set {
-                if line.valid {
-                    match line.kind {
-                        LineKind::Data => data += 1,
-                        LineKind::Hash => hash += 1,
-                    }
-                }
-            }
-        }
-        (data, hash)
+        (self.valid_data, self.valid_hash)
     }
 }
 

@@ -7,7 +7,7 @@
 
 use std::collections::VecDeque;
 
-use miv_cache::{Cache, CacheConfig, CacheStats, KindStats, LineKind};
+use miv_cache::{Cache, CacheConfig, CacheStats, KindStats, LineKind, ReplacementPolicy};
 use miv_obs::rng::Rng;
 
 /// A reference cache: per-set VecDeque of (tag, dirty), front = LRU.
@@ -207,6 +207,58 @@ fn flush_reports_all_dirty_lines() {
             assert_eq!(ev.dirty, dirty_now[&ev.addr], "line {:#x}", ev.addr);
         }
         assert_eq!(c.occupancy(), (0, 0));
+    }
+}
+
+/// Valid lines of each kind found by scanning every way: flushing a
+/// clone drains exactly the valid lines, independent of the counters
+/// behind [`Cache::occupancy`].
+fn scanned_occupancy(c: &Cache) -> (u64, u64) {
+    let drained = c.clone().flush();
+    let hash = drained.iter().filter(|e| e.kind == LineKind::Hash).count() as u64;
+    (drained.len() as u64 - hash, hash)
+}
+
+/// The O(1) occupancy counters equal a full scan after every step of
+/// random lookup/fill, direct fill, invalidate and flush sequences,
+/// under every replacement policy.
+#[test]
+fn occupancy_counters_match_full_scan() {
+    let mut rng = Rng::seed_from_u64(0x0cc0);
+    for policy in ReplacementPolicy::ALL {
+        for _case in 0..32 {
+            let config = CacheConfig::new(512, 4, 32); // 4 sets × 4 ways
+            let mut c = Cache::with_policy(config, policy);
+            let n = rng.gen_range_usize(1, 400);
+            for _ in 0..n {
+                let addr = rng.gen_range_u64(0, 64) * 32;
+                let kind = if rng.gen_bool(0.3) {
+                    LineKind::Hash
+                } else {
+                    LineKind::Data
+                };
+                match rng.gen_range_usize(0, 100) {
+                    0..=59 => {
+                        let write = rng.gen_bool(0.4);
+                        if c.lookup(addr, kind, write).is_miss() {
+                            c.fill(addr, kind, write);
+                        }
+                    }
+                    60..=74 => {
+                        if !c.contains(addr) {
+                            c.fill(addr, kind, rng.gen_bool(0.5));
+                        }
+                    }
+                    75..=97 => {
+                        c.invalidate(addr);
+                    }
+                    _ => {
+                        c.flush();
+                    }
+                }
+                assert_eq!(c.occupancy(), scanned_occupancy(&c), "{policy}");
+            }
+        }
     }
 }
 

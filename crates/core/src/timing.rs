@@ -702,9 +702,13 @@ impl L2Controller {
     pub fn access(&mut self, now: Cycle, addr: u64, write: bool, full_line: bool) -> Cycle {
         let phys = self.phys_addr(addr);
         let t0 = now + self.config.l2_latency;
-        // The core issues accesses in time order and every background
-        // operation derives its timestamp from this access, so nothing in
-        // the future can be ready before `now`: let the arbiters prune.
+        // Let the arbiters prune intervals that ended before `now`. This
+        // is not a safe bound: the core does not issue accesses in time
+        // order. A dependent load issues at its producer's completion
+        // time and an L1 victim write-back at the fill's ready time, so
+        // a later access can carry an earlier `now` and find a pruned
+        // interval's slot free. The prune cadence is therefore part of
+        // the model (see `IntervalSchedule::advance_low_water`).
         self.bus.advance_low_water(now);
         self.engine.advance_low_water(now);
         if self.l2.lookup(phys, LineKind::Data, write).is_hit() {

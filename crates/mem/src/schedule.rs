@@ -9,10 +9,12 @@
 //! occupancy in the earliest gap at or after its ready time, exactly as a
 //! real arbiter granting an idle bus would.
 
-use std::collections::BTreeMap;
-
 /// A timeline of non-overlapping busy intervals with earliest-gap
 /// placement.
+///
+/// The intervals live in one `Vec` sorted by start and searched with
+/// `partition_point`. Bookings cluster near the end of the timeline, so
+/// an insert moves few elements, and a search touches contiguous memory.
 ///
 /// # Examples
 ///
@@ -27,12 +29,13 @@ use std::collections::BTreeMap;
 /// ```
 #[derive(Debug, Clone)]
 pub struct IntervalSchedule {
-    /// start → end of each busy interval (non-overlapping).
-    busy: BTreeMap<u64, u64>,
+    /// `(start, end)` of each busy interval, sorted by start,
+    /// non-overlapping and never touching (touching intervals coalesce).
+    busy: Vec<(u64, u64)>,
     /// Low-water mark: intervals ending before this can be pruned.
     low_water: u64,
     /// Adaptive prune trigger: doubled whenever pruning cannot shrink the
-    /// map (avoids O(n) retain on every insert during booking bursts).
+    /// list (avoids O(n) retain on every insert during booking bursts).
     prune_at: usize,
     /// Total cycles of intervals dropped by pruning (all of which ended
     /// before the low-water mark), so [`busy_through`](Self::busy_through)
@@ -50,7 +53,7 @@ impl IntervalSchedule {
     /// Creates an empty (fully idle) schedule.
     pub fn new() -> Self {
         IntervalSchedule {
-            busy: BTreeMap::new(),
+            busy: Vec::new(),
             low_water: 0,
             prune_at: 4096,
             pruned_cycles: 0,
@@ -67,39 +70,38 @@ impl IntervalSchedule {
         assert!(duration > 0, "zero-length booking");
         let mut t = ready;
         // Start from the interval that could overlap `t`: the last one
-        // beginning at or before it.
-        if let Some((_, &end)) = self.busy.range(..=t).next_back() {
-            if end > t {
-                t = end;
-            }
+        // beginning at or before it, `i - 1`. Intervals from `i` on begin
+        // at or after the end of `i - 1`, so the forward walk starts at `i`.
+        let mut i = self.busy.partition_point(|&(start, _)| start <= t);
+        if i > 0 && self.busy[i - 1].1 > t {
+            t = self.busy[i - 1].1;
         }
         // Walk forward through later intervals until a gap fits.
-        for (&start, &end) in self.busy.range(t..) {
+        while let Some(&(start, end)) = self.busy.get(i) {
             if t + duration <= start {
                 break;
             }
             t = t.max(end);
+            i += 1;
         }
-        // Insert [t, t+duration), coalescing with touching neighbours so a
-        // densely packed region stays a single interval — this keeps the
-        // gap walk O(number of gaps) instead of O(number of bookings),
-        // which matters when write-back avalanches book thousands of
-        // transfers around the same timestamp.
-        let mut start = t;
-        let mut end = t + duration;
-        if let Some((&ps, &pe)) = self.busy.range(..=start).next_back() {
-            if pe == start {
-                self.busy.remove(&ps);
-                start = ps;
+        // Insert [t, t+duration) between `i - 1` (ends at or before `t`)
+        // and `i` (starts at or after `t + duration`), coalescing with
+        // touching neighbours so a densely packed region stays a single
+        // interval — this keeps the gap walk O(number of gaps) instead of
+        // O(number of bookings), which matters when write-back avalanches
+        // book thousands of transfers around the same timestamp.
+        let end = t + duration;
+        let joins_prev = i > 0 && self.busy[i - 1].1 == t;
+        let joins_next = i < self.busy.len() && self.busy[i].0 == end;
+        match (joins_prev, joins_next) {
+            (true, true) => {
+                self.busy[i - 1].1 = self.busy[i].1;
+                self.busy.remove(i);
             }
+            (true, false) => self.busy[i - 1].1 = end,
+            (false, true) => self.busy[i].0 = t,
+            (false, false) => self.busy.insert(i, (t, end)),
         }
-        if let Some((&ns, &ne)) = self.busy.range(end..).next() {
-            if ns == end {
-                self.busy.remove(&ns);
-                end = ne;
-            }
-        }
-        self.busy.insert(start, end);
         if self.busy.len() > self.prune_at {
             self.prune();
             // If nothing was prunable, back off so bursts of future
@@ -109,13 +111,23 @@ impl IntervalSchedule {
         t
     }
 
-    /// Raises the low-water mark: no future `book` will use a `ready`
-    /// time below `time`, so older intervals become prunable.
+    /// Raises the low-water mark; intervals ending before it are dropped
+    /// the next time the list outgrows its prune trigger.
+    ///
+    /// The mark is a hint, not a guarantee: callers pass the issue time
+    /// of a demand access, and issue times are not monotone (a dependent
+    /// load issues at its producer's completion time, an L1 victim
+    /// write-back at the fill's ready time). A later booking may
+    /// therefore be ready before the mark. If the interval it would have
+    /// collided with is already pruned, it lands in the freed gap instead
+    /// of queuing. Which intervals are gone depends on when pruning ran,
+    /// so the prune cadence is part of the modelled timing: changing when
+    /// or what is pruned changes simulation output.
     pub fn advance_low_water(&mut self, time: u64) {
         self.low_water = self.low_water.max(time);
     }
 
-    /// Total booked cycles currently retained (for tests).
+    /// Number of busy intervals currently retained (for tests).
     pub fn retained(&self) -> usize {
         self.busy.len()
     }
@@ -129,11 +141,11 @@ impl IntervalSchedule {
     /// Exact for any `t` at or above the low-water mark when pruning last
     /// ran (pruned intervals, counted in full, all ended before it).
     pub fn busy_through(&self, t: u64) -> u64 {
+        let before = self.busy.partition_point(|&(start, _)| start < t);
         self.pruned_cycles
-            + self
-                .busy
-                .range(..t)
-                .map(|(&start, &end)| end.min(t) - start)
+            + self.busy[..before]
+                .iter()
+                .map(|&(start, end)| end.min(t) - start)
                 .sum::<u64>()
     }
 
@@ -148,11 +160,11 @@ impl IntervalSchedule {
     fn prune(&mut self) {
         let keep = self.low_water;
         let mut freed = 0u64;
-        self.busy.retain(|&start, end| {
-            if *end >= keep {
+        self.busy.retain(|&(start, end)| {
+            if end >= keep {
                 true
             } else {
-                freed += *end - start;
+                freed += end - start;
                 false
             }
         });
