@@ -494,12 +494,11 @@ impl VerifiedMemory {
     /// seeing (and detecting) the corrupted memory bytes.
     fn end_epoch(&mut self) {
         self.epoch += 1;
-        let clean: Vec<u64> = self
+        let clean = self
             .cache
             .iter_blocks()
-            .map(|(a, _)| a)
-            .filter(|&a| self.cache.dirty(a) == Some(false))
-            .collect();
+            .filter(|&(_, dirty)| !dirty)
+            .map(|(a, _)| a);
         self.masked.extend(clean);
     }
 
@@ -602,8 +601,7 @@ impl VerifiedMemory {
                 // §5.3: a whole-block overwrite allocates without fetching
                 // or checking the old contents.
                 self.stats.alloc_no_fetch += 1;
-                self.cache
-                    .insert(block, data[pos..pos + take].to_vec(), true);
+                self.cache.insert(block, &data[pos..pos + take], true);
                 self.enforce_capacity()?;
             } else {
                 let chunk = self.layout.chunk_of_addr(phys);
@@ -911,9 +909,9 @@ impl VerifiedMemory {
         for j in 0..self.layout.blocks_per_chunk() {
             let block = self.block_addr_of(chunk, j);
             let dst = &mut image[j as usize * block_len..(j as usize + 1) * block_len];
-            match self.cache.peek(block) {
+            match self.cache.lookup(block) {
                 // A clean cached block equals its memory image.
-                Some(data) if self.cache.dirty(block) == Some(false) => {
+                Some((data, false)) => {
                     dst.copy_from_slice(data);
                 }
                 // Dirty or absent: the *memory* copy is what the parent
@@ -1082,9 +1080,9 @@ impl VerifiedMemory {
                 for j in 0..self.layout.blocks_per_chunk() {
                     let block = self.block_addr_of(chunk, j);
                     let dst = &mut new_image[j as usize * block_len..(j as usize + 1) * block_len];
-                    if let Some(data) = self.cache.peek(block) {
+                    if let Some((data, dirty)) = self.cache.lookup(block) {
                         dst.copy_from_slice(data);
-                        if self.cache.dirty(block) == Some(true) {
+                        if dirty {
                             dirty_blocks.push((block, j));
                         }
                     } else {
@@ -1218,7 +1216,7 @@ impl VerifiedMemory {
         for j in 0..self.layout.blocks_per_chunk() {
             let block = self.block_addr_of(chunk, j);
             if !self.cache.contains(block) {
-                let data = image[j as usize * block_len..(j as usize + 1) * block_len].to_vec();
+                let data = &image[j as usize * block_len..(j as usize + 1) * block_len];
                 self.cache.insert(block, data, false);
             }
         }

@@ -337,6 +337,8 @@ impl Options {
                 .map_err(|e| format!("{path}: {e}"))?;
             let insts: Result<Vec<_>, _> = reader.collect();
             let insts = insts.map_err(|e| format!("{path}: {e}"))?;
+            miv_trace::file::check_addresses(&insts, self.protected)
+                .map_err(|e| format!("{path}: {e}"))?;
             // Replay through a custom profile-free system: reuse System by
             // constructing a profile wrapper is not possible for raw
             // traces, so drive the core directly (one sample for the run).

@@ -304,3 +304,38 @@ fn mivsim_record_and_replay() {
     assert!(stdout.contains("smoke.trc"));
     std::fs::remove_file(trc).ok();
 }
+
+#[test]
+fn mivsim_rejects_trace_addresses_outside_the_protected_segment() {
+    // Three records: a compute, a load at 1 TB, a crypto barrier. The
+    // load once reached the timing model and panicked it.
+    let mut bytes = b"MIVTRC01".to_vec();
+    bytes.extend_from_slice(&3u64.to_le_bytes());
+    bytes.extend_from_slice(&[0x00, 1]);
+    bytes.push(0x01);
+    bytes.extend_from_slice(&(1u64 << 40).to_le_bytes());
+    bytes.push(0);
+    bytes.push(0x03);
+    let dir = std::env::temp_dir().join("miv_bin_smoke_bad_trace");
+    std::fs::create_dir_all(&dir).unwrap();
+    let trc = dir.join("bad.trc");
+    std::fs::write(&trc, &bytes).unwrap();
+    let trc_str = trc.to_str().unwrap();
+
+    for scheme in ["base", "naive", "chash", "mhash", "ihash"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_mivsim"))
+            .args(["run", "--scheme", scheme, "--trace", trc_str])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{scheme}: {stderr}");
+        assert!(
+            stderr.contains(&format!(
+                "{trc_str}: record 1: address 0x10000000000 outside the 268435456 B protected segment"
+            )),
+            "{scheme}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{scheme}: {stderr}");
+    }
+    std::fs::remove_file(trc).ok();
+}

@@ -39,6 +39,7 @@ use std::path::PathBuf;
 // miv-analyze: allow(rc-not-sent, reason="MemRootStore clones share one cell so the trusted root survives a simulated crash; root stores live and die on one worker, never crossing the sweep boundary")
 use std::rc::Rc;
 
+use miv_core::trusted_cache::TrustedCache;
 use miv_core::ParentRef;
 use miv_hash::digest::DIGEST_BYTES;
 use miv_hash::ChunkHasher;
@@ -208,14 +209,6 @@ pub struct FsckReport {
     pub verified_pages: u64,
 }
 
-#[derive(Debug)]
-struct PageEntry {
-    data: Vec<u8>,
-    dirty: bool,
-    pinned: u32,
-    last_used: u64,
-}
-
 /// The verified block store. See the module docs for the protocol.
 #[derive(Debug)]
 pub struct BlockStore<M: StoreMedium, R: RootStore> {
@@ -223,15 +216,15 @@ pub struct BlockStore<M: StoreMedium, R: RootStore> {
     root_store: R,
     geom: StoreGeometry,
     hasher: Box<dyn ChunkHasher>,
-    cache: BTreeMap<u64, PageEntry>,
-    cache_pages: usize,
+    /// The trusted page cache, keyed by each page's address in the tree
+    /// layout (see [`key`](Self::key)).
+    cache: TrustedCache,
     /// page → journal slot holding its newest payload this epoch.
     overlay: BTreeMap<u64, u32>,
     journal_used: u32,
     journal_reserve: u32,
     committed_generation: u64,
     roots: Vec<[u8; DIGEST_BYTES]>,
-    tick: u64,
     poisoned: bool,
     stats: StoreStats,
 }
@@ -344,14 +337,13 @@ impl<M: StoreMedium, R: RootStore> BlockStore<M, R> {
             root_store,
             geom,
             hasher,
-            cache: BTreeMap::new(),
-            cache_pages: config.cache_pages,
+            cache: TrustedCache::try_new(config.cache_pages, page_bytes)
+                .map_err(StoreError::Config)?,
             overlay: BTreeMap::new(),
             journal_used: 0,
             journal_reserve: reserve,
             committed_generation: 1,
             roots,
-            tick: 0,
             poisoned: false,
             stats: StoreStats::default(),
         };
@@ -469,19 +461,19 @@ impl<M: StoreMedium, R: RootStore> BlockStore<M, R> {
             replayed_entries: replayed,
             orphaned_entries: orphaned,
         };
+        let cache = TrustedCache::try_new(cache_pages, geom.page_bytes() as usize)
+            .map_err(StoreError::Config)?;
         let store = BlockStore {
             medium,
             root_store,
             geom,
             hasher,
-            cache: BTreeMap::new(),
-            cache_pages,
+            cache,
             overlay: BTreeMap::new(),
             journal_used: 0,
             journal_reserve: reserve,
             committed_generation: root.generation,
             roots: root.roots,
-            tick: 0,
             poisoned: false,
             stats,
         };
@@ -551,11 +543,11 @@ impl<M: StoreMedium, R: RootStore> BlockStore<M, R> {
             let in_page = (at % page_bytes) as usize;
             let take = ((page_bytes - at % page_bytes) as usize).min((end - at) as usize);
             self.ensure_page(chunk)?;
-            let entry = self
+            let page = self
                 .cache
-                .get(&chunk)
+                .peek(self.key(chunk))
                 .expect("documented invariant: ensure_page caches the page");
-            out.extend_from_slice(&entry.data[in_page..in_page + take]);
+            out.extend_from_slice(&page[in_page..in_page + take]);
             at += take as u64;
             self.enforce_capacity()?;
         }
@@ -584,14 +576,12 @@ impl<M: StoreMedium, R: RootStore> BlockStore<M, R> {
             let in_page = (at % page_bytes) as usize;
             let take = ((page_bytes - at % page_bytes) as usize).min(data.len() - taken);
             self.ensure_page(chunk)?;
-            let tick = self.bump_tick();
-            let entry = self
+            let key = self.key(chunk);
+            let page = self
                 .cache
-                .get_mut(&chunk)
+                .get_mut(key)
                 .expect("documented invariant: ensure_page caches the page");
-            entry.data[in_page..in_page + take].copy_from_slice(&data[taken..taken + take]);
-            entry.dirty = true;
-            entry.last_used = tick;
+            page[in_page..in_page + take].copy_from_slice(&data[taken..taken + take]);
             at += take as u64;
             taken += take;
             self.enforce_capacity()?;
@@ -599,9 +589,15 @@ impl<M: StoreMedium, R: RootStore> BlockStore<M, R> {
         Ok(())
     }
 
-    fn bump_tick(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
+    /// The cache key of `page`: its block-aligned address in the tree
+    /// layout, as [`TrustedCache`] expects.
+    fn key(&self, page: u64) -> u64 {
+        self.geom.layout().chunk_addr(page)
+    }
+
+    /// The page a cache key names.
+    fn page_of(&self, key: u64) -> u64 {
+        self.geom.layout().chunk_of_addr(key)
     }
 
     /// Loads `page` into the cache if absent, verifying it against its
@@ -617,15 +613,10 @@ impl<M: StoreMedium, R: RootStore> BlockStore<M, R> {
     /// arbitrary write-back cascades) cannot evict it before the caller
     /// uses it. The caller must unpin.
     fn ensure_page_pinned(&mut self, page: u64) -> Result<(), StoreError> {
-        if self.cache.contains_key(&page) {
+        let key = self.key(page);
+        if self.cache.get(key).is_some() {
             self.stats.cache_hits += 1;
-            let tick = self.bump_tick();
-            let entry = self
-                .cache
-                .get_mut(&page)
-                .expect("documented invariant: just checked");
-            entry.last_used = tick;
-            entry.pinned += 1;
+            self.cache.pin(key);
             return Ok(());
         }
         self.stats.cache_misses += 1;
@@ -649,11 +640,11 @@ impl<M: StoreMedium, R: RootStore> BlockStore<M, R> {
                 self.ensure_page_pinned(chunk)?;
                 let parent = self
                     .cache
-                    .get(&chunk)
+                    .peek(self.key(chunk))
                     .expect("documented invariant: pinned page stays cached");
                 let at = self.geom.layout().slot_offset(index) as usize;
                 let mut d = [0u8; DIGEST_BYTES];
-                d.copy_from_slice(&parent.data[at..at + DIGEST_BYTES]);
+                d.copy_from_slice(&parent[at..at + DIGEST_BYTES]);
                 self.unpin(chunk);
                 d
             }
@@ -665,16 +656,8 @@ impl<M: StoreMedium, R: RootStore> BlockStore<M, R> {
             return Err(StoreError::Integrity { page });
         }
 
-        let tick = self.bump_tick();
-        self.cache.insert(
-            page,
-            PageEntry {
-                data,
-                dirty: false,
-                pinned: 1,
-                last_used: tick,
-            },
-        );
+        self.cache.insert(key, &data, false);
+        self.cache.pin(key);
         // Capacity is NOT enforced here: this runs inside write-back
         // cascades that hold pins up the ancestor chain, and evicting
         // mid-cascade could leave no unpinned victim. The public
@@ -684,15 +667,20 @@ impl<M: StoreMedium, R: RootStore> BlockStore<M, R> {
         Ok(())
     }
 
+    /// Pins `page` if it is cached; a no-op otherwise.
     fn pin(&mut self, page: u64) {
-        if let Some(e) = self.cache.get_mut(&page) {
-            e.pinned += 1;
+        let key = self.key(page);
+        if self.cache.contains(key) {
+            self.cache.pin(key);
         }
     }
 
+    /// Unpins `page` if it is cached and pinned; a no-op otherwise, so
+    /// no error path can reach the cache's panicking `unpin`.
     fn unpin(&mut self, page: u64) {
-        if let Some(e) = self.cache.get_mut(&page) {
-            e.pinned = e.pinned.saturating_sub(1);
+        let key = self.key(page);
+        if self.cache.is_pinned(key) {
+            self.cache.unpin(key);
         }
     }
 
@@ -713,12 +701,13 @@ impl<M: StoreMedium, R: RootStore> BlockStore<M, R> {
         if let ParentRef::Chunk { chunk, .. } = parent {
             self.ensure_page_pinned(chunk)?;
         }
+        let key = self.key(page);
         let result = (|| {
-            let entry = self
+            let payload = self
                 .cache
-                .get(&page)
-                .expect("documented invariant: caller holds the page");
-            let payload = entry.data.clone();
+                .peek(key)
+                .expect("documented invariant: caller holds the page")
+                .to_vec();
             self.stats.pages_hashed += 1;
             let digest = self.hasher.digest(&payload).into_bytes();
 
@@ -739,10 +728,7 @@ impl<M: StoreMedium, R: RootStore> BlockStore<M, R> {
             self.stats.journal_appends += 1;
             self.journal_used = idx + 1;
             self.overlay.insert(page, idx);
-            self.cache
-                .get_mut(&page)
-                .expect("documented invariant: caller holds the page")
-                .dirty = false;
+            self.cache.mark_clean(key);
 
             match parent {
                 ParentRef::Secure { index } => {
@@ -750,14 +736,12 @@ impl<M: StoreMedium, R: RootStore> BlockStore<M, R> {
                 }
                 ParentRef::Chunk { chunk, index } => {
                     let at = self.geom.layout().slot_offset(index) as usize;
-                    let tick = self.bump_tick();
+                    let parent_key = self.key(chunk);
                     let p = self
                         .cache
-                        .get_mut(&chunk)
+                        .get_mut(parent_key)
                         .expect("documented invariant: parent pinned above");
-                    p.data[at..at + DIGEST_BYTES].copy_from_slice(&digest);
-                    p.dirty = true;
-                    p.last_used = tick;
+                    p[at..at + DIGEST_BYTES].copy_from_slice(&digest);
                 }
             }
             Ok(())
@@ -769,23 +753,15 @@ impl<M: StoreMedium, R: RootStore> BlockStore<M, R> {
     }
 
     fn enforce_capacity(&mut self) -> Result<(), StoreError> {
-        while self.cache.len() > self.cache_pages {
-            let victim = self
+        while self.cache.over_capacity() {
+            let key = self
                 .cache
-                .iter()
-                .filter(|(_, e)| e.pinned == 0)
-                .min_by_key(|(page, e)| (e.last_used, **page))
-                .map(|(page, _)| *page)
+                .victim()
                 .expect("documented invariant: cache floor leaves an unpinned page");
-            let dirty = self
-                .cache
-                .get(&victim)
-                .expect("documented invariant: victim cached")
-                .dirty;
-            if dirty {
-                self.write_back(victim)?;
+            if self.cache.dirty(key) == Some(true) {
+                self.write_back(self.page_of(key))?;
             }
-            self.cache.remove(&victim);
+            self.cache.remove(key);
         }
         Ok(())
     }
@@ -803,17 +779,8 @@ impl<M: StoreMedium, R: RootStore> BlockStore<M, R> {
         // Flush dirty pages to the journal, always taking the
         // highest-numbered one: its write-back only dirties pages
         // numbered *below* it, so each page flushes at most once.
-        loop {
-            let next = self
-                .cache
-                .iter()
-                .rev()
-                .find(|(_, e)| e.dirty)
-                .map(|(page, _)| *page);
-            match next {
-                Some(page) => self.write_back(page)?,
-                None => break,
-            }
+        while let Some(&key) = self.cache.dirty_blocks().last() {
+            self.write_back(self.page_of(key))?;
         }
         self.enforce_capacity()?;
         self.medium.sync()?;

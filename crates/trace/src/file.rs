@@ -212,6 +212,71 @@ pub fn read_trace<R: Read>(mut r: R) -> io::Result<TraceFileReader<R>> {
     })
 }
 
+/// A load or store that lies outside the protected segment a replay
+/// runs over; see [`check_addresses`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AddressOutOfRange {
+    /// Zero-based index of the offending record.
+    pub record: usize,
+    /// The address it accesses.
+    pub addr: u64,
+    /// Size of the protected segment in bytes.
+    pub limit: u64,
+}
+
+impl std::fmt::Display for AddressOutOfRange {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "record {}: address {:#x} outside the {} B protected segment",
+            self.record, self.addr, self.limit
+        )
+    }
+}
+
+impl std::error::Error for AddressOutOfRange {}
+
+/// Checks that every load and store in a decoded trace addresses the
+/// protected segment `0..limit`.
+///
+/// A trace file is untrusted input: its addresses are arbitrary `u64`s,
+/// and the timing model treats an access outside the segment as a
+/// programming error. Replays check the whole trace up front so a bad
+/// file is rejected before any instruction runs.
+///
+/// # Errors
+///
+/// Returns the first record that accesses `limit` or above.
+///
+/// # Examples
+///
+/// ```
+/// use miv_cpu::TraceInst;
+/// use miv_trace::file::check_addresses;
+///
+/// let trace = [TraceInst::load(0x40), TraceInst::store(1 << 40)];
+/// let err = check_addresses(&trace, 1 << 20).unwrap_err();
+/// assert_eq!(err.record, 1);
+/// assert_eq!(
+///     err.to_string(),
+///     "record 1: address 0x10000000000 outside the 1048576 B protected segment"
+/// );
+/// ```
+pub fn check_addresses(insts: &[TraceInst], limit: u64) -> Result<(), AddressOutOfRange> {
+    for (record, inst) in insts.iter().enumerate() {
+        if let TraceOp::Load { addr, .. } | TraceOp::Store { addr, .. } = inst.op {
+            if addr >= limit {
+                return Err(AddressOutOfRange {
+                    record,
+                    addr,
+                    limit,
+                });
+            }
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,6 +339,27 @@ mod tests {
         buf.truncate(buf.len() - 3);
         let got: Vec<_> = read_trace(buf.as_slice()).unwrap().collect();
         assert!(got[0].is_err());
+    }
+
+    #[test]
+    fn check_addresses_bounds_loads_and_stores() {
+        let insts = [
+            TraceInst::compute(),
+            TraceInst::load(0xff),
+            TraceInst::store_full_line(0xc0),
+            TraceInst::crypto_barrier(),
+        ];
+        assert_eq!(check_addresses(&insts, 0x100), Ok(()));
+        assert_eq!(
+            check_addresses(&insts, 0xff),
+            Err(AddressOutOfRange {
+                record: 1,
+                addr: 0xff,
+                limit: 0xff
+            })
+        );
+        let store = [TraceInst::load(0), TraceInst::store(u64::MAX)];
+        assert_eq!(check_addresses(&store, u64::MAX).unwrap_err().record, 1);
     }
 
     #[test]
