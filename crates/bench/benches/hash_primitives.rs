@@ -10,6 +10,7 @@ use std::hint::black_box;
 
 use miv_bench::Harness;
 use miv_hash::digest::{ChunkHasher, Md5Hasher, Sha1Hasher, Sha256Hasher};
+use miv_hash::md5::md5_multi;
 use miv_hash::narrow::XorMac120;
 use miv_hash::xtea::{Prp128, Xtea};
 use miv_hash::XorMac;
@@ -26,6 +27,19 @@ fn main() {
     });
     h.bench_bytes("digest_64B_chunk/sha256_128", 64, || {
         Sha256Hasher.digest(black_box(&chunk))
+    });
+    // One XOR-MAC PRF input: 33-byte key/domain/index/timestamp prefix
+    // plus a 64-byte block.
+    let prf_input = [0x5au8; 97];
+    h.bench_bytes("digest_97B_prf_input/md5", 97, || {
+        Md5Hasher.digest(black_box(&prf_input))
+    });
+    h.bench_bytes("digest_97B_prf_input/md5_2lane", 2 * 97, || {
+        md5_multi(&[black_box(&prf_input[..]), black_box(&prf_input[..])])
+    });
+    let page = [0x3cu8; 4096];
+    h.bench_bytes("digest_4KB_page/md5", 4096, || {
+        Md5Hasher.digest(black_box(&page))
     });
     let big = [0x3cu8; 512];
     h.bench_bytes("digest_512B_chunk/md5", 512, || {
@@ -46,6 +60,15 @@ fn main() {
     let tag = mac.mac_blocks(blocks.iter().map(|b| (b.as_slice(), false)));
     let tag120 = mac120.mac_blocks(blocks.iter().map(|b| (b.as_slice(), false)));
     let new_block = vec![0xffu8; 64];
+
+    // Two PRFs, the work of one incremental update before its two PRP
+    // calls.
+    h.bench("xormac_prf/two_64B_blocks", || {
+        (
+            mac120.block_prf(2, black_box(&blocks[2]), false),
+            mac120.block_prf(2, black_box(&new_block), true),
+        )
+    });
 
     // Full 4-block MAC from scratch vs a single-block incremental update:
     // the §5.4 asymmetry.

@@ -170,8 +170,11 @@ fn main() -> ExitCode {
         |mut mem| mem.flush().unwrap(),
     );
 
-    // Raw primitive: 4-lane interleaved compress vs one-at-a-time, on
-    // chunk-sized messages (64 B data + covered layout slots ≈ 64 B).
+    // Raw primitive: four chunk-sized messages (64 B data + covered
+    // layout slots ≈ 64 B) through `digest_batch` vs one at a time.
+    // `digest_batch` interleaves `BATCH_LANES` = 2 messages per pass, so
+    // the `*_4lane` cases run two 2-lane passes; their names are the gate
+    // keys in BENCH_hotpath.json.
     let msg = [[0xA5u8; 64]; 4];
     let md5 = Md5Hasher;
     let sha1 = Sha1Hasher;

@@ -1165,22 +1165,21 @@ impl VerifiedMemory {
 
                 // Step 2: the old block value, read directly and unchecked.
                 self.stats.unchecked_block_reads += 1;
-                let mut old = vec![0u8; block_len];
-                self.mem.read(victim, &mut old);
+                let old = self.mem.region(victim, block_len);
 
                 // Step 3: O(1) MAC update with the timestamp flip.
-                let new = self.cache.peek(victim).expect("victim pinned").to_vec();
+                let new = self.cache.peek(victim).expect("victim pinned");
                 let old_ts = ts >> j & 1 == 1;
                 let new_ts = !old_ts;
                 let ProtImpl::Mac(mac) = &self.protection else {
                     unreachable!()
                 };
                 self.stats.mac_updates += 1;
-                let new_tag = mac.update(tag, j as u64, (&old, old_ts), (&new, new_ts));
+                let new_tag = mac.update(tag, j as u64, (old, old_ts), (new, new_ts));
 
                 // Step 4: flip both sides together.
                 self.stats.block_writes += 1;
-                self.mem.write(victim, &new);
+                self.mem.write(victim, new);
                 self.cache.mark_clean(victim);
                 self.masked.remove(&victim);
                 // No memo stamp here: unlike the hash write-back, the

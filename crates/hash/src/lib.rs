@@ -51,6 +51,7 @@ pub mod digest;
 pub mod engine;
 pub mod md5;
 pub mod narrow;
+mod prf;
 pub mod prp;
 pub mod sha1;
 pub mod sha256;

@@ -16,14 +16,6 @@
 
 use crate::digest::Digest;
 
-/// Per-round left-rotate amounts.
-const S: [u32; 64] = [
-    7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, //
-    5, 9, 14, 20, 5, 9, 14, 20, 5, 9, 14, 20, 5, 9, 14, 20, //
-    4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23, //
-    6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21,
-];
-
 /// Round constants: `floor(2^32 * abs(sin(i+1)))`.
 const K: [u32; 64] = [
     0xd76aa478, 0xe8c7b756, 0x242070db, 0xc1bdceee, 0xf57c0faf, 0x4787c62a, 0xa8304613, 0xfd469501,
@@ -110,21 +102,10 @@ impl Md5 {
     }
 
     /// Completes the digest, consuming the context.
-    pub fn finalize(mut self) -> Digest {
-        let bit_len = self.len.wrapping_mul(8);
-        // Padding: 0x80 then zeros until 56 mod 64, then the 64-bit length.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
-        }
-        // `update` also advances `len`, but the length word was latched first.
-        let mut tail = [0u8; 8];
-        tail.copy_from_slice(&bit_len.to_le_bytes());
-        self.len = self.len.wrapping_add(8);
-        self.buf[56..64].copy_from_slice(&tail);
-        compress(&mut self.state, &{ self.buf });
-
-        state_digest(&self.state)
+    pub fn finalize(self) -> Digest {
+        let mut state = self.state;
+        finish(&mut state, &self.buf[..self.buf_len], self.len);
+        state_digest(&state)
     }
 
     /// One 512-bit compression step.
@@ -149,12 +130,54 @@ fn compress(state: &mut [u32; 4], block: &[u8; 64]) {
     *state = lanes[0];
 }
 
+/// One MD5 step on every lane: `a = b + ((a + f(b, c, d) + K[i] + m[g]) <<< s)`.
+///
+/// The caller rotates the roles of the four state words instead of
+/// moving them, so a step is a single assignment.
+macro_rules! step {
+    ($m:ident, $f:ident, $a:ident, $b:ident, $c:ident, $d:ident, $i:expr, $g:expr, $s:expr) => {
+        for l in 0..$a.len() {
+            $a[l] = $b[l].wrapping_add(
+                $a[l]
+                    .wrapping_add($f($b[l], $c[l], $d[l]))
+                    .wrapping_add(K[$i])
+                    .wrapping_add($m[l][$g])
+                    .rotate_left($s),
+            );
+        }
+    };
+}
+
+/// Round 1 mixing function `(b ∧ c) ∨ (¬b ∧ d)`, as the equal `d ⊕ (b ∧ (c ⊕ d))`.
+#[inline(always)]
+fn f(b: u32, c: u32, d: u32) -> u32 {
+    d ^ (b & (c ^ d))
+}
+
+/// Round 2 mixing function `(b ∧ d) ∨ (c ∧ ¬d)`, as the equal `c ⊕ (d ∧ (b ⊕ c))`.
+#[inline(always)]
+fn g(b: u32, c: u32, d: u32) -> u32 {
+    c ^ (d & (b ^ c))
+}
+
+/// Round 3 mixing function.
+#[inline(always)]
+fn h(b: u32, c: u32, d: u32) -> u32 {
+    b ^ c ^ d
+}
+
+/// Round 4 mixing function.
+#[inline(always)]
+fn i(b: u32, c: u32, d: u32) -> u32 {
+    c ^ (b | !d)
+}
+
 /// One 512-bit compression step across `N` independent lanes.
 ///
-/// The round recurrences of the lanes are interleaved so their serial
-/// dependency chains (four adds and a rotate per round each) overlap in
-/// the pipeline; with `N = 1` the compiler reduces it to the scalar
-/// routine.
+/// The 64 steps are written out with constant message indices and
+/// rotations, and each step runs across all lanes, so the lanes' serial
+/// dependency chains (four adds and a rotate per step each) overlap in
+/// the pipeline; with `N = 1` this is the scalar routine.
 fn compress_multi<const N: usize>(states: &mut [[u32; 4]; N], blocks: &[&[u8; 64]; N]) {
     let mut m = [[0u32; 16]; N];
     for (lane, block) in blocks.iter().enumerate() {
@@ -166,31 +189,75 @@ fn compress_multi<const N: usize>(states: &mut [[u32; 4]; N], blocks: &[&[u8; 64
     let mut b: [u32; N] = std::array::from_fn(|l| states[l][1]);
     let mut c: [u32; N] = std::array::from_fn(|l| states[l][2]);
     let mut d: [u32; N] = std::array::from_fn(|l| states[l][3]);
-    for i in 0..64 {
-        let g = match i / 16 {
-            0 => i,
-            1 => (5 * i + 1) % 16,
-            2 => (3 * i + 5) % 16,
-            _ => (7 * i) % 16,
-        };
-        for l in 0..N {
-            let f = match i / 16 {
-                0 => (b[l] & c[l]) | (!b[l] & d[l]),
-                1 => (d[l] & b[l]) | (!d[l] & c[l]),
-                2 => b[l] ^ c[l] ^ d[l],
-                _ => c[l] ^ (b[l] | !d[l]),
-            };
-            let sum = a[l]
-                .wrapping_add(f)
-                .wrapping_add(K[i])
-                .wrapping_add(m[l][g]);
-            let nb = b[l].wrapping_add(sum.rotate_left(S[i]));
-            a[l] = d[l];
-            d[l] = c[l];
-            c[l] = b[l];
-            b[l] = nb;
-        }
-    }
+
+    step!(m, f, a, b, c, d, 0, 0, 7);
+    step!(m, f, d, a, b, c, 1, 1, 12);
+    step!(m, f, c, d, a, b, 2, 2, 17);
+    step!(m, f, b, c, d, a, 3, 3, 22);
+    step!(m, f, a, b, c, d, 4, 4, 7);
+    step!(m, f, d, a, b, c, 5, 5, 12);
+    step!(m, f, c, d, a, b, 6, 6, 17);
+    step!(m, f, b, c, d, a, 7, 7, 22);
+    step!(m, f, a, b, c, d, 8, 8, 7);
+    step!(m, f, d, a, b, c, 9, 9, 12);
+    step!(m, f, c, d, a, b, 10, 10, 17);
+    step!(m, f, b, c, d, a, 11, 11, 22);
+    step!(m, f, a, b, c, d, 12, 12, 7);
+    step!(m, f, d, a, b, c, 13, 13, 12);
+    step!(m, f, c, d, a, b, 14, 14, 17);
+    step!(m, f, b, c, d, a, 15, 15, 22);
+
+    step!(m, g, a, b, c, d, 16, 1, 5);
+    step!(m, g, d, a, b, c, 17, 6, 9);
+    step!(m, g, c, d, a, b, 18, 11, 14);
+    step!(m, g, b, c, d, a, 19, 0, 20);
+    step!(m, g, a, b, c, d, 20, 5, 5);
+    step!(m, g, d, a, b, c, 21, 10, 9);
+    step!(m, g, c, d, a, b, 22, 15, 14);
+    step!(m, g, b, c, d, a, 23, 4, 20);
+    step!(m, g, a, b, c, d, 24, 9, 5);
+    step!(m, g, d, a, b, c, 25, 14, 9);
+    step!(m, g, c, d, a, b, 26, 3, 14);
+    step!(m, g, b, c, d, a, 27, 8, 20);
+    step!(m, g, a, b, c, d, 28, 13, 5);
+    step!(m, g, d, a, b, c, 29, 2, 9);
+    step!(m, g, c, d, a, b, 30, 7, 14);
+    step!(m, g, b, c, d, a, 31, 12, 20);
+
+    step!(m, h, a, b, c, d, 32, 5, 4);
+    step!(m, h, d, a, b, c, 33, 8, 11);
+    step!(m, h, c, d, a, b, 34, 11, 16);
+    step!(m, h, b, c, d, a, 35, 14, 23);
+    step!(m, h, a, b, c, d, 36, 1, 4);
+    step!(m, h, d, a, b, c, 37, 4, 11);
+    step!(m, h, c, d, a, b, 38, 7, 16);
+    step!(m, h, b, c, d, a, 39, 10, 23);
+    step!(m, h, a, b, c, d, 40, 13, 4);
+    step!(m, h, d, a, b, c, 41, 0, 11);
+    step!(m, h, c, d, a, b, 42, 3, 16);
+    step!(m, h, b, c, d, a, 43, 6, 23);
+    step!(m, h, a, b, c, d, 44, 9, 4);
+    step!(m, h, d, a, b, c, 45, 12, 11);
+    step!(m, h, c, d, a, b, 46, 15, 16);
+    step!(m, h, b, c, d, a, 47, 2, 23);
+
+    step!(m, i, a, b, c, d, 48, 0, 6);
+    step!(m, i, d, a, b, c, 49, 7, 10);
+    step!(m, i, c, d, a, b, 50, 14, 15);
+    step!(m, i, b, c, d, a, 51, 5, 21);
+    step!(m, i, a, b, c, d, 52, 12, 6);
+    step!(m, i, d, a, b, c, 53, 3, 10);
+    step!(m, i, c, d, a, b, 54, 10, 15);
+    step!(m, i, b, c, d, a, 55, 1, 21);
+    step!(m, i, a, b, c, d, 56, 8, 6);
+    step!(m, i, d, a, b, c, 57, 15, 10);
+    step!(m, i, c, d, a, b, 58, 6, 15);
+    step!(m, i, b, c, d, a, 59, 13, 21);
+    step!(m, i, a, b, c, d, 60, 4, 6);
+    step!(m, i, d, a, b, c, 61, 11, 10);
+    step!(m, i, c, d, a, b, 62, 2, 15);
+    step!(m, i, b, c, d, a, 63, 9, 21);
+
     for l in 0..N {
         states[l][0] = states[l][0].wrapping_add(a[l]);
         states[l][1] = states[l][1].wrapping_add(b[l]);
@@ -212,6 +279,17 @@ pub(crate) fn pad_tail(rem: &[u8]) -> (usize, [u8; 128]) {
     (blocks, tail)
 }
 
+/// Compresses the padded tail of a message: `rem` is what is left after
+/// its last full block and `len` the whole message's length in bytes.
+fn finish(state: &mut [u32; 4], rem: &[u8], len: u64) {
+    let (tail_blocks, mut tail) = pad_tail(rem);
+    let bit_len = len.wrapping_mul(8);
+    tail[tail_blocks * 64 - 8..tail_blocks * 64].copy_from_slice(&bit_len.to_le_bytes());
+    for t in 0..tail_blocks {
+        compress(state, tail[t * 64..t * 64 + 64].try_into().expect("64"));
+    }
+}
+
 /// Computes the MD5 digest of `data` in one shot.
 ///
 /// Full blocks are compressed directly from `data` (no staging buffer);
@@ -230,15 +308,7 @@ pub fn md5(data: &[u8]) -> Digest {
     for block in blocks.by_ref() {
         compress(&mut state, block.try_into().expect("64-byte chunk"));
     }
-    let (tail_blocks, mut tail) = pad_tail(blocks.remainder());
-    let bit_len = (data.len() as u64).wrapping_mul(8);
-    tail[tail_blocks * 64 - 8..tail_blocks * 64].copy_from_slice(&bit_len.to_le_bytes());
-    for t in 0..tail_blocks {
-        compress(
-            &mut state,
-            tail[t * 64..t * 64 + 64].try_into().expect("64"),
-        );
-    }
+    finish(&mut state, blocks.remainder(), data.len() as u64);
     state_digest(&state)
 }
 

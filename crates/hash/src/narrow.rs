@@ -19,7 +19,8 @@
 //! round PRFs — and [`XorMac120`] runs the Bellare–Guérin–Rogaway
 //! construction natively in the 120-bit space.
 
-use crate::md5::Md5;
+use crate::digest::Digest;
+use crate::prf::BlockPrf;
 use crate::xtea::Xtea;
 
 /// Width of the narrow MAC in bytes (120 bits).
@@ -144,7 +145,7 @@ fn pack(left: u64, right: u64) -> Mac120 {
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct XorMac120 {
-    key: [u8; 16],
+    prf: BlockPrf,
     prp: Prp120,
 }
 
@@ -156,23 +157,16 @@ impl XorMac120 {
             *b ^= 0xa7u8.rotate_left((i % 8) as u32);
         }
         XorMac120 {
-            key,
+            prf: BlockPrf::new(key, *b"miv-x120"),
             prp: Prp120::new(prp_key),
         }
     }
 
-    /// The keyed PRF `h_k(index, block, timestamp)`, 120 bits wide.
+    /// The keyed PRF `h_k(index, block, timestamp)`, 120 bits wide: the
+    /// first 15 bytes of [`XorMac::block_prf`](crate::XorMac::block_prf)'s
+    /// construction under the domain tag `miv-x120`.
     pub fn block_prf(&self, index: u64, block: &[u8], timestamp: bool) -> Mac120 {
-        let mut ctx = Md5::new();
-        ctx.update(&self.key);
-        ctx.update(b"miv-x120");
-        ctx.update(&index.to_le_bytes());
-        ctx.update(&[timestamp as u8]);
-        ctx.update(block);
-        let full = ctx.finalize().into_bytes();
-        let mut out = [0u8; NARROW_MAC_BYTES];
-        out.copy_from_slice(&full[..NARROW_MAC_BYTES]);
-        out
+        narrow(self.prf.digest(index, block, timestamp))
     }
 
     /// Computes the MAC over a chunk's blocks from scratch.
@@ -180,11 +174,7 @@ impl XorMac120 {
     where
         I: IntoIterator<Item = (&'a [u8], bool)>,
     {
-        let mut acc = [0u8; NARROW_MAC_BYTES];
-        for (index, (block, ts)) in blocks.into_iter().enumerate() {
-            xor_into(&mut acc, &self.block_prf(index as u64, block, ts));
-        }
-        self.prp.encrypt(acc)
+        self.prp.encrypt(narrow(self.prf.xor_sum(blocks)))
     }
 
     /// Applies a single-block change to an existing MAC in O(1).
@@ -197,8 +187,7 @@ impl XorMac120 {
         new: (&[u8], bool),
     ) -> Mac120 {
         let mut inner = self.prp.decrypt(mac);
-        xor_into(&mut inner, &self.block_prf(index, old.0, old.1));
-        xor_into(&mut inner, &self.block_prf(index, new.0, new.1));
+        xor_into(&mut inner, &narrow(self.prf.delta(index, old, new)));
         self.prp.encrypt(inner)
     }
 
@@ -209,6 +198,14 @@ impl XorMac120 {
     {
         self.mac_blocks(blocks) == mac
     }
+}
+
+/// The first 120 bits of a PRF digest. Truncation commutes with XOR, so
+/// a sum of full digests narrows to the sum of the narrowed terms.
+fn narrow(full: Digest) -> Mac120 {
+    let mut out = [0u8; NARROW_MAC_BYTES];
+    out.copy_from_slice(&full.as_bytes()[..NARROW_MAC_BYTES]);
+    out
 }
 
 fn xor_into(acc: &mut Mac120, term: &Mac120) {

@@ -37,12 +37,12 @@
 //! ```
 
 use crate::digest::Digest;
-use crate::md5::Md5;
+use crate::prf::BlockPrf;
 use crate::prp::BlockPrp;
 use crate::xtea::Prp128;
 
 /// Domain-separation tag mixed into every PRF call.
-const DOMAIN: &[u8; 8] = b"miv-xmac";
+const DOMAIN: [u8; 8] = *b"miv-xmac";
 
 /// An incremental XOR-MAC over the blocks of a chunk.
 ///
@@ -52,7 +52,7 @@ const DOMAIN: &[u8; 8] = b"miv-xmac";
 /// Cloneable; all methods are `&self`.
 #[derive(Debug, Clone)]
 pub struct XorMac<P = Prp128> {
-    key: [u8; 16],
+    prf: BlockPrf,
     prp: P,
 }
 
@@ -73,7 +73,7 @@ impl XorMac<Prp128> {
     /// and for the outer permutation.
     pub fn new(key: [u8; 16]) -> Self {
         XorMac {
-            key,
+            prf: BlockPrf::new(key, DOMAIN),
             prp: Prp128::new(prp_key_of(key)),
         }
     }
@@ -83,7 +83,7 @@ impl XorMac<crate::aes::Aes128> {
     /// Creates a MAC instance whose outer permutation is AES-128.
     pub fn with_aes(key: [u8; 16]) -> Self {
         XorMac {
-            key,
+            prf: BlockPrf::new(key, DOMAIN),
             prp: crate::aes::Aes128::new(prp_key_of(key)),
         }
     }
@@ -92,22 +92,19 @@ impl XorMac<crate::aes::Aes128> {
 impl<P: BlockPrp> XorMac<P> {
     /// Creates a MAC instance over an explicit permutation.
     pub fn with_cipher(key: [u8; 16], prp: P) -> Self {
-        XorMac { key, prp }
+        XorMac {
+            prf: BlockPrf::new(key, DOMAIN),
+            prp,
+        }
     }
 
     /// The keyed PRF `h_k(index, block, timestamp)`.
     ///
-    /// Implemented as `MD5(key ‖ domain ‖ index ‖ timestamp ‖ block)`; the
+    /// Implemented as `MD5(key ‖ domain ‖ index LE ‖ timestamp ‖ block)`; the
     /// key-prefixed construction is adequate as a PRF for fixed-length
     /// inputs (all blocks of a chunk have the same size).
     pub fn block_prf(&self, index: u64, block: &[u8], timestamp: bool) -> Digest {
-        let mut ctx = Md5::new();
-        ctx.update(&self.key);
-        ctx.update(DOMAIN);
-        ctx.update(&index.to_le_bytes());
-        ctx.update(&[timestamp as u8]);
-        ctx.update(block);
-        ctx.finalize()
+        self.prf.digest(index, block, timestamp)
     }
 
     /// Computes the MAC over a chunk's blocks from scratch.
@@ -119,10 +116,7 @@ impl<P: BlockPrp> XorMac<P> {
     where
         I: IntoIterator<Item = (&'a [u8], bool)>,
     {
-        let mut acc = Digest::ZERO;
-        for (index, (block, ts)) in blocks.into_iter().enumerate() {
-            acc ^= self.block_prf(index as u64, block, ts);
-        }
+        let acc = self.prf.xor_sum(blocks);
         Digest::from_bytes(self.prp.encrypt_block(acc.into_bytes()))
     }
 
@@ -140,8 +134,7 @@ impl<P: BlockPrp> XorMac<P> {
         new: (&[u8], bool),
     ) -> Digest {
         let mut inner = Digest::from_bytes(self.prp.decrypt_block(mac.into_bytes()));
-        inner ^= self.block_prf(index, old.0, old.1);
-        inner ^= self.block_prf(index, new.0, new.1);
+        inner ^= self.prf.delta(index, old, new);
         Digest::from_bytes(self.prp.encrypt_block(inner.into_bytes()))
     }
 

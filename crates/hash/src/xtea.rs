@@ -92,9 +92,11 @@ impl Xtea {
 /// A 128-bit pseudo-random permutation: four-round balanced Feistel over
 /// XTEA-keyed round functions.
 ///
-/// Each round applies `R_i(x) = XTEA_{k_i}(x_hi) ⊕ XTEA_{k_i}(x_lo ⊕ i)` as
-/// a 64-bit PRF to one half and XORs it into the other, with independent
-/// per-round keys derived from the master key.
+/// Round `i` (0–3) computes the 64-bit PRF
+/// `R_i(x) = XTEA_{k_i}(x_0 ⊕ i, x_1 ⊕ (i <<< 16))`, one XTEA encryption
+/// of the half `x = (x_0, x_1)` with both 32-bit words tweaked by the round
+/// number, and XORs it into the other half. The round keys `k_i` are
+/// independent, derived from the master key.
 ///
 /// # Examples
 ///

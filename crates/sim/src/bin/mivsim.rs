@@ -18,7 +18,7 @@
 //!
 //! # record 1M instructions of a benchmark trace to a file, then replay it
 //! mivsim record --bench gzip --count 1000000 --out gzip.trc
-//! mivsim run --scheme naive --trace gzip.trc --working-set 640K
+//! mivsim run --scheme naive --trace gzip.trc
 //! ```
 
 use std::fs::File;
@@ -74,7 +74,6 @@ options:
   --bench gcc|gzip|mcf|twolf|vortex|vpr|applu|art|swim  (default gzip)
   --custom SPEC           synthetic workload, e.g. ws=8M,hot=64K,mem=0.4,run=512
   --trace FILE            replay a recorded trace instead of --bench
-  --working-set BYTES     protected footprint for --trace runs (e.g. 8M)
   --l2 SIZE               L2 capacity, e.g. 256K, 1M, 4M (default 1M)
   --line 64|128           L2 line size (default 64)
   --warmup N / --measure N / --seed N
@@ -126,7 +125,6 @@ struct Options {
     bench: Option<Benchmark>,
     custom: Option<Profile>,
     trace: Option<String>,
-    working_set: u64,
     l2: u64,
     line: u32,
     warmup: u64,
@@ -176,7 +174,6 @@ impl Options {
             bench: None,
             custom: None,
             trace: None,
-            working_set: 8 << 20,
             l2: 1 << 20,
             line: 64,
             warmup: 50_000,
@@ -225,10 +222,6 @@ impl Options {
                     o.custom = Some(parse_custom_profile(&v)?);
                 }
                 "--trace" => o.trace = Some(value("--trace")?),
-                "--working-set" => {
-                    let v = value("--working-set")?;
-                    o.working_set = parse_size(&v).ok_or_else(|| format!("bad size {v}"))?;
-                }
                 "--l2" => {
                     let v = value("--l2")?;
                     o.l2 = parse_size(&v).ok_or_else(|| format!("bad size {v}"))?;

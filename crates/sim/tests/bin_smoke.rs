@@ -272,6 +272,10 @@ fn mivsim_rejects_bad_args() {
     let (ok, _, stderr) = run(exe, &["run", "--no-such-flag"]);
     assert!(!ok);
     assert!(stderr.contains("unknown option"));
+    // Not an option: trace replays are bounded by --protected alone.
+    let (ok, _, stderr) = run(exe, &["run", "--working-set", "640K"]);
+    assert!(!ok);
+    assert!(stderr.contains("unknown option --working-set"), "{stderr}");
     let (ok, _, _) = run(exe, &[]);
     assert!(!ok);
 }
