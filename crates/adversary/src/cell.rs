@@ -88,7 +88,7 @@ impl CellConfig {
         checker.chunk_bytes = self.chunk_bytes();
         L2Controller::try_new(
             checker,
-            CacheConfig::l2(self.l2_bytes, self.line_bytes),
+            CacheConfig::try_l2(self.l2_bytes, self.line_bytes)?,
             MemoryBusConfig::default(),
         )?;
         if self.scheme.verifies() {

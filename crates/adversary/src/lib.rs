@@ -37,7 +37,6 @@
 //! [`VerifiedMemory`]: miv_core::VerifiedMemory
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod attack;
 pub mod campaign;

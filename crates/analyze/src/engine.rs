@@ -1,6 +1,7 @@
 //! The analysis driver: builds per-file models and the workspace
 //! index, runs the catalogue, applies suppression directives, audits
-//! the suppressions themselves, and renders the `miv-findings-v2`
+//! the suppressions themselves, inventories them together with the
+//! compiler-lint `#[expect]` waivers, and renders the `miv-findings-v2`
 //! report.
 //!
 //! Analysis is two-pass: pass 1 lexes every file, builds its
@@ -17,7 +18,7 @@ use std::path::{Path, PathBuf};
 use miv_obs::json::JsonValue;
 
 use crate::model::{FileModel, ItemCounts, WorkspaceIndex};
-use crate::rules::{find_rule, RawFinding, RuleCtx, CATALOGUE, FILE_SCOPE_RULES};
+use crate::rules::{find_rule, RawFinding, RuleCtx, CATALOGUE};
 use crate::scan::{FileContext, SourceFile};
 
 /// Pseudo-rule id for directive and model hygiene: malformed
@@ -61,18 +62,19 @@ pub struct Suppressed {
     pub reason: String,
 }
 
-/// One `allow(...)` directive site — the suppression *inventory* entry
-/// (one per directive, however many findings it shields). The committed
-/// `suppressions.txt` baseline is rendered from these.
+/// One waiver site — the suppression *inventory* entry: an analyzer
+/// `allow(...)` directive (one entry however many findings it shields)
+/// or one lint of a compiler `#[expect(lint, reason = "...")]`. The
+/// committed `suppressions.txt` baseline is rendered from these.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct AllowSite {
     /// Workspace-relative path.
     pub path: String,
-    /// The rule being suppressed.
+    /// The analyzer rule id or compiler lint path being waived.
     pub rule: String,
-    /// The directive's justification.
+    /// The justification.
     pub reason: String,
-    /// 1-based line of the directive.
+    /// 1-based line of the directive or attribute.
     pub line: usize,
 }
 
@@ -83,7 +85,7 @@ pub struct FileReport {
     pub findings: Vec<Finding>,
     /// Suppressed findings, same order.
     pub suppressed: Vec<Suppressed>,
-    /// Every valid allow directive in the file.
+    /// Every valid allow directive and `#[expect]` lint in the file.
     pub allow_sites: Vec<AllowSite>,
 }
 
@@ -169,14 +171,12 @@ fn check_file(
             index,
         };
         (rule.check)(&rctx, &mut raw);
-        let file_scope = FILE_SCOPE_RULES.contains(&rule.id);
         for r in raw {
             let (line, col) = file.line_col(r.pos);
-            let waiver = file.allows.iter().position(|a| {
-                a.rule == rule.id
-                    && find_rule(&a.rule).is_some()
-                    && (file_scope || a.line == line || a.line + 1 == line)
-            });
+            let waiver = file
+                .allows
+                .iter()
+                .position(|a| a.rule == rule.id && (a.line == line || a.line + 1 == line));
             match waiver {
                 Some(ai) => {
                     allow_used[ai] = true;
@@ -227,6 +227,17 @@ fn check_file(
         }
     }
 
+    for expect in &file.expects {
+        for lint in &expect.lints {
+            report.allow_sites.push(AllowSite {
+                path: ctx.rel_path.clone(),
+                rule: lint.clone(),
+                reason: expect.reason.clone(),
+                line: expect.line,
+            });
+        }
+    }
+
     report
         .findings
         .sort_by(|a, b| (a.line, a.col, &a.rule).cmp(&(b.line, b.col, &b.rule)));
@@ -253,8 +264,8 @@ pub struct WorkspaceReport {
     pub findings: Vec<Finding>,
     /// All suppressed findings, same order.
     pub suppressed: Vec<Suppressed>,
-    /// Every valid allow directive, sorted by (path, rule, reason,
-    /// line) — the suppression inventory.
+    /// Every valid allow directive and `#[expect]` lint, sorted by
+    /// (path, rule, reason, line) — the suppression inventory.
     pub allow_sites: Vec<AllowSite>,
     /// Aggregated item-model counts across the workspace.
     pub counts: ItemCounts,
@@ -267,7 +278,7 @@ impl WorkspaceReport {
     }
 
     /// Renders the committed `suppressions.txt` baseline: one line per
-    /// allow directive, `path<TAB>rule<TAB>reason`, sorted and
+    /// distinct waiver, `path<TAB>rule-or-lint<TAB>reason`, sorted and
     /// line-number-free so unrelated edits never churn it.
     pub fn suppressions_baseline(&self) -> String {
         let lines: BTreeSet<String> = self
@@ -461,80 +472,4 @@ pub fn findings_json(report: &WorkspaceReport) -> JsonValue {
     items.push("matches", report.counts.matches as u64);
     root.push("items", items);
     root
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn lib_ctx() -> FileContext {
-        FileContext::from_rel_path("crates/core/src/fake.rs")
-    }
-
-    #[test]
-    fn unwrap_finding_and_suppression() {
-        let src = "fn f(x: Option<u8>) -> u8 { x.unwrap() }\n";
-        let r = check_source(&lib_ctx(), src);
-        assert_eq!(r.findings.len(), 1);
-        assert_eq!(r.findings[0].rule, "no-unwrap-in-lib");
-        assert_eq!(r.findings[0].line, 1);
-
-        let src = "// miv-analyze: allow(no-unwrap-in-lib, reason=\"demo\")\n\
-                   fn f(x: Option<u8>) -> u8 { x.unwrap() }\n";
-        let r = check_source(&lib_ctx(), src);
-        assert!(r.findings.is_empty());
-        assert_eq!(r.suppressed.len(), 1);
-        assert_eq!(r.suppressed[0].reason, "demo");
-        assert_eq!(r.allow_sites.len(), 1);
-    }
-
-    #[test]
-    fn unknown_rule_in_allow_is_a_finding() {
-        let src = "// miv-analyze: allow(no-such-rule, reason=\"x\")\n";
-        let r = check_source(&lib_ctx(), src);
-        assert_eq!(r.findings.len(), 1);
-        assert_eq!(r.findings[0].rule, DIRECTIVE_RULE);
-    }
-
-    #[test]
-    fn stale_allow_is_a_finding() {
-        let src = "// miv-analyze: allow(no-wall-clock, reason=\"nothing here\")\nfn f() {}\n";
-        let r = check_source(&lib_ctx(), src);
-        assert_eq!(r.findings.len(), 1);
-        assert_eq!(r.findings[0].rule, UNUSED_SUPPRESSION_RULE);
-        assert_eq!(r.findings[0].line, 1);
-    }
-
-    #[test]
-    fn unbalanced_brace_is_a_directive_finding() {
-        let src = "#[cfg(test)]\nmod tests {\n    fn t() { if x { }\n";
-        let r = check_source(&lib_ctx(), src);
-        assert!(
-            r.findings
-                .iter()
-                .any(|f| f.rule == DIRECTIVE_RULE && f.message.contains("brace matching")),
-            "expected a brace-matching directive finding, got {:?}",
-            r.findings
-        );
-    }
-
-    #[test]
-    fn findings_json_is_deterministic() {
-        let mut report = WorkspaceReport {
-            files_scanned: 2,
-            ..WorkspaceReport::default()
-        };
-        report.findings.push(Finding {
-            rule: "no-wall-clock".to_string(),
-            path: "crates/x/src/lib.rs".to_string(),
-            line: 3,
-            col: 9,
-            message: "m".to_string(),
-            snippet: "s".to_string(),
-        });
-        let a = findings_json(&report).render_pretty();
-        let b = findings_json(&report).render_pretty();
-        assert_eq!(a, b);
-        assert!(a.contains("miv-findings-v2"));
-    }
 }

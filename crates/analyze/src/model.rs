@@ -22,8 +22,8 @@
 //!   skip region to end of file (the PR 5 fragility) — it becomes an
 //!   unsuppressible `directive`-class finding,
 //! * a workspace-level [`WorkspaceIndex`]: enum name → variants,
-//!   fn name → signature-ish token span, file → qualified `A::B` path
-//!   pairs and item counts — the substrate of every cross-file rule.
+//!   file → qualified `A::B` path pairs and item counts — the
+//!   substrate of every cross-file rule.
 //!
 //! The model is byte-deterministic: it is a pure function of the source
 //! text, holds no maps with randomized iteration order, and is built in
@@ -61,25 +61,6 @@ pub enum ItemKind {
     /// An inner attribute (`#![...]`) or anything else the model
     /// absorbs conservatively (stray semicolons, unknown forms).
     Other,
-}
-
-impl ItemKind {
-    /// Stable label for reports and the v2 JSON item counts.
-    pub fn label(self) -> &'static str {
-        match self {
-            ItemKind::Mod => "mod",
-            ItemKind::Fn => "fn",
-            ItemKind::Struct => "struct",
-            ItemKind::Enum => "enum",
-            ItemKind::Trait => "trait",
-            ItemKind::Impl => "impl",
-            ItemKind::TypeAlias => "type",
-            ItemKind::Const => "const",
-            ItemKind::Use => "use",
-            ItemKind::Macro => "macro",
-            ItemKind::Other => "other",
-        }
-    }
 }
 
 /// One node of the item tree.
@@ -347,10 +328,10 @@ fn attach_exhaustive_tags(f: &SourceFile, model: &mut FileModel) {
         }
         best
     }
-    for tag in &f.exhaustive_tags {
-        match first_enum_after(&mut model.items, tag.pos) {
+    for &pos in &f.exhaustive_tags {
+        match first_enum_after(&mut model.items, pos) {
             Some(e) => e.exhaustive_tag = true,
-            None => model.unattached_tags.push(tag.pos),
+            None => model.unattached_tags.push(pos),
         }
     }
 }
@@ -1110,25 +1091,10 @@ fn parse_arms(f: &SourceFile, open: usize, close: usize) -> Vec<Arm> {
 /// An enum definition recorded in the workspace index.
 #[derive(Debug, Clone)]
 pub struct EnumInfo {
-    /// Workspace-relative path of the defining file.
-    pub file: String,
     /// Variant names in declaration order.
     pub variants: Vec<String>,
     /// Whether a `// miv-analyze: exhaustive` tag attaches to it.
     pub exhaustive: bool,
-    /// Byte offset of the `enum` keyword in the defining file.
-    pub head: usize,
-}
-
-/// A function signature recorded in the workspace index: the
-/// significant tokens from `fn` through the end of the header
-/// (before the body), joined with single spaces.
-#[derive(Debug, Clone)]
-pub struct FnSig {
-    /// Workspace-relative path of the defining file.
-    pub file: String,
-    /// The signature-ish token span.
-    pub sig: String,
 }
 
 /// The workspace-level index: everything the cross-file rules consult.
@@ -1139,13 +1105,9 @@ pub struct WorkspaceIndex {
     /// Enum name → definitions (a name can legitimately recur across
     /// files; rules that need a unique target prefer the tagged one).
     pub enums: BTreeMap<String, Vec<EnumInfo>>,
-    /// Function name → signatures across the workspace.
-    pub fns: BTreeMap<String, Vec<FnSig>>,
     /// File → every qualified `A::B` token pair in the file (test
     /// spans included: coverage tables may live in test modules).
     pub qualified: BTreeMap<String, BTreeSet<(String, String)>>,
-    /// Every file the index saw.
-    pub files: BTreeSet<String>,
     /// Aggregated item counts.
     pub counts: ItemCounts,
 }
@@ -1153,42 +1115,23 @@ pub struct WorkspaceIndex {
 impl WorkspaceIndex {
     /// Folds one file's model into the index.
     pub fn absorb_file(&mut self, rel_path: &str, f: &SourceFile, model: &FileModel) {
-        self.files.insert(rel_path.to_string());
         self.counts.absorb(&model.counts);
 
-        fn walk(idx: &mut WorkspaceIndex, rel: &str, f: &SourceFile, items: &[Item]) {
+        fn walk(idx: &mut WorkspaceIndex, items: &[Item]) {
             for item in items {
-                match item.kind {
-                    ItemKind::Enum => {
-                        idx.enums
-                            .entry(item.name.clone())
-                            .or_default()
-                            .push(EnumInfo {
-                                file: rel.to_string(),
-                                variants: item.variants.clone(),
-                                exhaustive: item.exhaustive_tag,
-                                head: item.head,
-                            });
-                    }
-                    ItemKind::Fn => {
-                        let sig_end = item
-                            .body_sig
-                            .map(|(s, _)| s.saturating_sub(1))
-                            .unwrap_or(item.sig_range.1);
-                        let sig: Vec<&str> = (item.sig_range.0..sig_end.min(item.sig_range.1))
-                            .map(|m| f.sig_text(m))
-                            .collect();
-                        idx.fns.entry(item.name.clone()).or_default().push(FnSig {
-                            file: rel.to_string(),
-                            sig: sig.join(" "),
+                if item.kind == ItemKind::Enum {
+                    idx.enums
+                        .entry(item.name.clone())
+                        .or_default()
+                        .push(EnumInfo {
+                            variants: item.variants.clone(),
+                            exhaustive: item.exhaustive_tag,
                         });
-                    }
-                    _ => {}
                 }
-                walk(idx, rel, f, &item.children);
+                walk(idx, &item.children);
             }
         }
-        walk(self, rel_path, f, &model.items);
+        walk(self, &model.items);
 
         let quals = self.qualified.entry(rel_path.to_string()).or_default();
         for k in 0..f.sig_len() {

@@ -2,7 +2,10 @@
 //!
 //! Each rule encodes a *real* past or latent footgun from this
 //! workspace's history (see INVARIANTS.md for the mapping from prose
-//! subtlety to rule id). Rules come in two families:
+//! subtlety to rule id). Invariants the compiler can state — wall
+//! clocks, hash-ordered containers, library panics, `unsafe`, docs —
+//! live in `clippy.toml` and `[workspace.lints]` instead; only the
+//! project-specific ones are here. Rules come in two families:
 //!
 //! * **token** rules work on the significant-token stream of a
 //!   [`SourceFile`] — comments, doc examples and string literals can
@@ -83,65 +86,8 @@ pub struct Rule {
     pub check: fn(&RuleCtx, &mut Vec<RawFinding>),
 }
 
-/// Rules whose findings are file-scoped (an `allow` anywhere in the
-/// file suppresses them), because the violation is the *absence* of
-/// something rather than a line of code.
-pub const FILE_SCOPE_RULES: &[&str] = &["forbid-unsafe-header"];
-
 /// The full catalogue, in the order findings are reported.
 pub const CATALOGUE: &[Rule] = &[
-    Rule {
-        id: "no-wall-clock",
-        family: RuleFamily::Token,
-        summary: "Instant::now/SystemTime are forbidden outside tests and benches: sim results \
-                  must be bit-reproducible; miv-bench's Harness is the one justified site",
-        doc: "The simulator's whole value rests on bit-reproducible runs: every figure in \
-              EXPERIMENTS.md is regenerated from scratch in CI and compared byte-for-byte. A \
-              stray `Instant::now` or `SystemTime` read turns a figure into a flake. Wall \
-              clocks are confined to tests, benches, and explicitly justified harness code.",
-        fixture: "use std::time::Instant;\nfn tick() -> std::time::Instant { Instant::now() }",
-        invariant: "Simulation results are bit-reproducible for a fixed config at any --jobs",
-        check: check_no_wall_clock,
-    },
-    Rule {
-        id: "deterministic-iteration",
-        family: RuleFamily::Token,
-        summary: "HashMap/HashSet are forbidden in library and binary code: randomized iteration \
-                  order has previously leaked into reports; use BTreeMap/BTreeSet or justify \
-                  lookup-only use",
-        doc: "std's hash containers iterate in a randomized order, which has previously leaked \
-              into reports and broken byte-determinism. A HashMap that is only ever looked up \
-              is safe, but history shows the iteration creeps in later — so the type itself is \
-              the lint, and a justified `allow` documents the lookup-only contract.",
-        fixture: "use std::collections::HashMap;\nfn f() -> HashMap<u64, u64> { HashMap::new() }",
-        invariant: "Reports and findings JSON are byte-identical across runs and platforms",
-        check: check_deterministic_iteration,
-    },
-    Rule {
-        id: "no-unwrap-in-lib",
-        family: RuleFamily::Token,
-        summary: ".unwrap() and panic!/todo!/unimplemented! are forbidden in library code \
-                  (tests, benches and binaries exempt); use ? or .expect(\"documented \
-                  invariant\")",
-        doc: "A panicking worker kills a whole parallel sweep and loses every sibling's \
-              results. Library code returns errors; `.expect(\"message\")` is the sanctioned \
-              form for internal invariants — the message *is* the justification — so it is \
-              deliberately not flagged.",
-        fixture: "pub fn parse(x: Option<u8>) -> u8 { x.unwrap() }",
-        invariant: "Library code is panic-free; worker failures surface as errors, not aborts",
-        check: check_no_unwrap_in_lib,
-    },
-    Rule {
-        id: "forbid-unsafe-header",
-        family: RuleFamily::Token,
-        summary: "every crate root must carry #![forbid(unsafe_code)]",
-        doc: "The security claim of the whole reproduction rests on the type system; one \
-              dropped header silently re-opens the door. Every crate root must carry \
-              `#![forbid(unsafe_code)]` — forbid, not deny, so no inner allow can override it.",
-        fixture: "// src/lib.rs without the header:\npub fn f() {}",
-        invariant: "No unsafe code anywhere in the workspace",
-        check: check_forbid_unsafe_header,
-    },
     Rule {
         id: "no-truncating-cast",
         family: RuleFamily::Token,
@@ -198,19 +144,6 @@ pub const CATALOGUE: &[Rule] = &[
         fixture: "fn f(t: &mut SpanTracer) { t.span_enter(\"x\"); }",
         invariant: "Cycle attribution spans are always balanced",
         check: check_span_balance,
-    },
-    Rule {
-        id: "doc-comment-required",
-        family: RuleFamily::Token,
-        summary: "every pub item in miv-core and miv-mem needs a doc comment (pub(crate), \
-                  pub use, pub mod declarations and struct fields exempt)",
-        doc: "The public API of the paper-contribution crates stays documented. \
-              `pub(crate)`/`pub(super)`, `pub use` re-exports and struct fields are exempt, \
-              as is `pub mod x;` (a module documents itself with inner `//!` docs in its own \
-              file); attributes between the doc comment and the item are fine.",
-        fixture: "pub fn undocumented() {}",
-        invariant: "Paper-contribution crates have a fully documented public API",
-        check: check_doc_comment_required,
     },
     Rule {
         id: "exhaustive-variant-match",
@@ -280,7 +213,7 @@ pub const CATALOGUE: &[Rule] = &[
               The engine tracks which allows actually waived a finding; any allow naming a \
               valid rule that shields nothing becomes a finding at the directive's own line. \
               Unsuppressible by design — delete the directive.",
-        fixture: "// miv-analyze: allow(no-wall-clock, reason=\"stale\")\nfn f() {}",
+        fixture: "// miv-analyze: allow(span-balance, reason=\"stale\")\nfn f() {}",
         invariant: "Every committed suppression shields a real finding and is baselined",
         check: check_unused_suppression,
     },
@@ -295,107 +228,10 @@ fn code_kinds(kind: FileKind) -> bool {
     matches!(kind, FileKind::Lib | FileKind::Bin)
 }
 
-/// Rule 1: no wall clocks outside tests/benches.
-fn check_no_wall_clock(c: &RuleCtx, out: &mut Vec<RawFinding>) {
-    let (ctx, f) = (c.file, c.src);
-    if !code_kinds(ctx.kind) {
-        return;
-    }
-    for k in 0..f.sig_len() {
-        let pos = f.sig_start(k);
-        if f.in_test_span(pos) {
-            continue;
-        }
-        if f.match_seq(k, &["Instant", ":", ":", "now"]) {
-            out.push(RawFinding {
-                pos,
-                message: "wall-clock read (Instant::now) in deterministic code".to_string(),
-            });
-        } else if f.sig_text(k) == "SystemTime" {
-            out.push(RawFinding {
-                pos,
-                message: "wall-clock type (SystemTime) in deterministic code".to_string(),
-            });
-        }
-    }
-}
-
-/// Rule 2: no hash-ordered containers in non-test code.
-fn check_deterministic_iteration(c: &RuleCtx, out: &mut Vec<RawFinding>) {
-    let (ctx, f) = (c.file, c.src);
-    if !code_kinds(ctx.kind) {
-        return;
-    }
-    for k in 0..f.sig_len() {
-        let t = f.sig_text(k);
-        if t != "HashMap" && t != "HashSet" {
-            continue;
-        }
-        let pos = f.sig_start(k);
-        if f.in_test_span(pos) {
-            continue;
-        }
-        out.push(RawFinding {
-            pos,
-            message: format!(
-                "{t} iterates in a randomized order; use BTree{} or justify lookup-only use",
-                &t[4..]
-            ),
-        });
-    }
-}
-
-/// Rule 3: no `.unwrap()` / `panic!` / `todo!` / `unimplemented!` in
-/// library code.
-fn check_no_unwrap_in_lib(c: &RuleCtx, out: &mut Vec<RawFinding>) {
-    let (ctx, f) = (c.file, c.src);
-    if ctx.kind != FileKind::Lib {
-        return;
-    }
-    for k in 0..f.sig_len() {
-        let pos = f.sig_start(k);
-        if f.in_test_span(pos) {
-            continue;
-        }
-        if f.match_seq(k, &[".", "unwrap", "(", ")"]) {
-            out.push(RawFinding {
-                pos,
-                message: ".unwrap() in library code; use ? or .expect(\"documented invariant\")"
-                    .to_string(),
-            });
-        } else {
-            let t = f.sig_text(k);
-            if (t == "panic" || t == "todo" || t == "unimplemented") && f.sig_text(k + 1) == "!" {
-                out.push(RawFinding {
-                    pos,
-                    message: format!("{t}! in library code; return an error instead"),
-                });
-            }
-        }
-    }
-}
-
-/// Rule 4: every crate root keeps `#![forbid(unsafe_code)]`.
-fn check_forbid_unsafe_header(c: &RuleCtx, out: &mut Vec<RawFinding>) {
-    let (ctx, f) = (c.file, c.src);
-    if !ctx.is_crate_root {
-        return;
-    }
-    for k in 0..f.sig_len() {
-        if f.match_seq(k, &["#", "!", "[", "forbid", "(", "unsafe_code", ")", "]"]) {
-            return;
-        }
-    }
-    out.push(RawFinding {
-        pos: 0,
-        message: "crate root is missing #![forbid(unsafe_code)]".to_string(),
-    });
-}
-
 const CAST_SCOPED_CRATES: &[&str] = &["core", "mem", "sim", "adversary"];
 const NARROW_TARGETS: &[&str] = &["u8", "u16", "u32"];
 
-/// Rule 5: no silent narrowing casts in address/size arithmetic.
+/// Rule 1: no silent narrowing casts in address/size arithmetic.
 fn check_no_truncating_cast(c: &RuleCtx, out: &mut Vec<RawFinding>) {
     let (ctx, f) = (c.file, c.src);
     if ctx.kind != FileKind::Lib || !CAST_SCOPED_CRATES.contains(&ctx.crate_id.as_str()) {
@@ -431,7 +267,7 @@ fn check_no_truncating_cast(c: &RuleCtx, out: &mut Vec<RawFinding>) {
     }
 }
 
-/// Rule 6: a `reset*` method must not clear a schedule.
+/// Rule 2: a `reset*` method must not clear a schedule.
 fn check_reset_preserves_schedules(c: &RuleCtx, out: &mut Vec<RawFinding>) {
     let (ctx, f) = (c.file, c.src);
     if ctx.kind != FileKind::Lib {
@@ -484,7 +320,7 @@ fn check_reset_preserves_schedules(c: &RuleCtx, out: &mut Vec<RawFinding>) {
     }
 }
 
-/// Rule 7: `std::rc` types are non-Send; stricter in the serving layer.
+/// Rule 3: `std::rc` types are non-Send; stricter in the serving layer.
 fn check_rc_not_sent(c: &RuleCtx, out: &mut Vec<RawFinding>) {
     let (ctx, f) = (c.file, c.src);
     if !code_kinds(ctx.kind) {
@@ -523,7 +359,7 @@ fn check_rc_not_sent(c: &RuleCtx, out: &mut Vec<RawFinding>) {
     }
 }
 
-/// Rule 8: manual span bracketing stays inside the tracer's own crate.
+/// Rule 4: manual span bracketing stays inside the tracer's own crate.
 fn check_span_balance(c: &RuleCtx, out: &mut Vec<RawFinding>) {
     let (ctx, f) = (c.file, c.src);
     if !code_kinds(ctx.kind) || ctx.crate_id == "obs" {
@@ -551,135 +387,7 @@ fn check_span_balance(c: &RuleCtx, out: &mut Vec<RawFinding>) {
     }
 }
 
-const DOC_SCOPED_CRATES: &[&str] = &["core", "mem"];
-const DOC_ITEM_KEYWORDS: &[&str] = &[
-    "fn", "struct", "enum", "union", "trait", "type", "static", "const",
-];
-
-/// Rule 9: public API of the paper-contribution crates stays
-/// documented.
-fn check_doc_comment_required(c: &RuleCtx, out: &mut Vec<RawFinding>) {
-    let (ctx, f) = (c.file, c.src);
-    if ctx.kind != FileKind::Lib || !DOC_SCOPED_CRATES.contains(&ctx.crate_id.as_str()) {
-        return;
-    }
-    for k in 0..f.sig_len() {
-        if f.sig_text(k) != "pub" || f.sig_kind(k) != Some(TokenKind::Ident) {
-            continue;
-        }
-        let pos = f.sig_start(k);
-        if f.in_test_span(pos) {
-            continue;
-        }
-        if f.sig_text(k + 1) == "(" {
-            continue; // pub(crate)/pub(super)/pub(in ...) are internal.
-        }
-        // Scan past modifiers to the item keyword; `pub const fn` is a
-        // fn, `pub const NAME` is a const.
-        let mut j = k + 1;
-        let mut item = None;
-        while j < k + 5 {
-            let t = f.sig_text(j);
-            if t == "const" && f.sig_text(j + 1) == "fn" {
-                j += 1;
-                continue;
-            }
-            if DOC_ITEM_KEYWORDS.contains(&t) {
-                item = Some((t, f.sig_text(j + 1).to_string()));
-                break;
-            }
-            if t == "use" {
-                break; // re-exports are exempt
-            }
-            if !matches!(t, "unsafe" | "async" | "extern") {
-                break; // a field or something unexpected — not an item
-            }
-            j += 1;
-        }
-        let Some((item_kw, name)) = item else {
-            continue;
-        };
-        if !has_doc_before(f, k) {
-            out.push(RawFinding {
-                pos,
-                message: format!("undocumented pub {item_kw} `{name}`"),
-            });
-        }
-    }
-}
-
-/// Whether the `pub` at significant index `k` is preceded (skipping
-/// whitespace and attributes) by a doc comment or a `#[doc...]`.
-fn has_doc_before(f: &SourceFile, k: usize) -> bool {
-    let Some(&mut_start) = f.sig.get(k) else {
-        return true;
-    };
-    let mut i = mut_start;
-    loop {
-        if i == 0 {
-            return false;
-        }
-        i -= 1;
-        let t = &f.tokens[i];
-        match t.kind {
-            TokenKind::Whitespace => continue,
-            TokenKind::LineComment => {
-                // `//!` is an *inner* doc: it documents the enclosing
-                // module, not the following item.
-                if t.text(f.src).starts_with("///") {
-                    return true;
-                }
-                continue; // plain comments don't document, keep looking
-            }
-            TokenKind::BlockComment => {
-                if t.text(f.src).starts_with("/**") {
-                    return true;
-                }
-                continue;
-            }
-            _ => {
-                // An attribute ends with `]`; walk back to its `#`,
-                // check for #[doc...], then keep scanning before it.
-                if t.text(f.src) == "]" {
-                    let mut depth = 1usize;
-                    let mut saw_doc = false;
-                    while i > 0 && depth > 0 {
-                        i -= 1;
-                        match f.tokens[i].kind {
-                            TokenKind::Punct => match f.tokens[i].text(f.src) {
-                                "]" => depth += 1,
-                                "[" => depth -= 1,
-                                _ => {}
-                            },
-                            TokenKind::Ident if f.tokens[i].text(f.src) == "doc" => {
-                                saw_doc = true;
-                            }
-                            _ => {}
-                        }
-                    }
-                    if saw_doc {
-                        return true;
-                    }
-                    // Step back over the `#` (and `!` for inner attrs).
-                    while i > 0 {
-                        let prev = &f.tokens[i - 1];
-                        if matches!(prev.kind, TokenKind::Punct)
-                            && matches!(prev.text(f.src), "#" | "!")
-                        {
-                            i -= 1;
-                        } else {
-                            break;
-                        }
-                    }
-                    continue;
-                }
-                return false;
-            }
-        }
-    }
-}
-
-/// Rule 10: matches over `exhaustive`-tagged enums name every variant.
+/// Rule 5: matches over `exhaustive`-tagged enums name every variant.
 fn check_exhaustive_variant_match(c: &RuleCtx, out: &mut Vec<RawFinding>) {
     let (ctx, f) = (c.file, c.src);
     if !code_kinds(ctx.kind) {
@@ -790,7 +498,7 @@ const PANIC_MACROS: &[&str] = &[
     "unimplemented",
 ];
 
-/// Rule 11: panicking `pub fn new` constructors pair with `try_new`.
+/// Rule 6: panicking `pub fn new` constructors pair with `try_new`.
 fn check_fallible_constructor_pairing(c: &RuleCtx, out: &mut Vec<RawFinding>) {
     let (ctx, f) = (c.file, c.src);
     if ctx.kind != FileKind::Lib || !CTOR_SCOPED_CRATES.contains(&ctx.crate_id.as_str()) {
@@ -929,7 +637,7 @@ pub const PLUMB_MANIFEST: &[PlumbEntry] = plumb![
     },
 ];
 
-/// Rule 12: manifest enums stay plumbed into their dispatch tables.
+/// Rule 7: manifest enums stay plumbed into their dispatch tables.
 fn check_plumbed_enum(c: &RuleCtx, out: &mut Vec<RawFinding>) {
     let (ctx, f) = (c.file, c.src);
     if ctx.kind != FileKind::Lib {
@@ -1044,36 +752,8 @@ fn carrier_variants(
     Some(named)
 }
 
-/// Rule 13: `unused-suppression` is enforced by the engine itself
+/// Rule 8: `unused-suppression` is enforced by the engine itself
 /// (it needs the waiver bookkeeping that lives there), so the
 /// catalogue checker is a no-op — the entry exists so the rule is
 /// listable, explainable, and a valid directive target for tooling.
 fn check_unused_suppression(_c: &RuleCtx, _out: &mut Vec<RawFinding>) {}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn catalogue_ids_unique_and_kebab() {
-        let mut seen = BTreeSet::new();
-        for r in CATALOGUE {
-            assert!(seen.insert(r.id), "duplicate rule id {}", r.id);
-            assert!(
-                r.id.chars().all(|c| c.is_ascii_lowercase() || c == '-'),
-                "non-kebab id {}",
-                r.id
-            );
-            assert!(!r.doc.is_empty() && !r.fixture.is_empty() && !r.invariant.is_empty());
-        }
-        assert!(CATALOGUE.len() >= 13);
-    }
-
-    #[test]
-    fn manifest_names_resolve() {
-        for e in PLUMB_MANIFEST {
-            assert!(!e.enum_name.is_empty() && !e.carrier.is_empty());
-            assert!(!e.dispatch.is_empty());
-        }
-    }
-}

@@ -80,7 +80,7 @@ mod tests {
     fn sarif_is_deterministic_and_minimal() {
         let mut report = WorkspaceReport::default();
         report.findings.push(Finding {
-            rule: "no-wall-clock".to_string(),
+            rule: "span-balance".to_string(),
             path: "crates/x/src/lib.rs".to_string(),
             line: 3,
             col: 9,
@@ -91,7 +91,7 @@ mod tests {
         let b = sarif_json(&report).render_pretty();
         assert_eq!(a, b);
         assert!(a.contains("\"version\": \"2.1.0\""));
-        assert!(a.contains("no-wall-clock"));
+        assert!(a.contains("span-balance"));
         assert!(a.contains("startLine"));
     }
 }

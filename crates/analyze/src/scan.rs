@@ -1,6 +1,6 @@
 //! Per-file scanning context: file classification, significant-token
-//! views, `#[cfg(test)]` / `#[test]` span detection, and suppression
-//! directives.
+//! views, `#[cfg(test)]` / `#[test]` span detection, suppression
+//! directives and the `#[expect(lint, reason = "...")]` inventory.
 //!
 //! Rules never look at raw source — they look at a [`SourceFile`],
 //! which exposes only *significant* tokens (whitespace and comments
@@ -16,12 +16,10 @@ pub enum FileKind {
     /// Library code: everything under a crate's `src/` except `bin/`.
     /// The full rule catalogue applies.
     Lib,
-    /// Binary code: `src/bin/*`, `src/main.rs`, `examples/*`. Panic
-    /// rules do not apply (a CLI's `fn main` may abort), determinism
-    /// rules still do.
+    /// Binary code: `src/bin/*`, `src/main.rs`, `build.rs`.
     Bin,
-    /// Tests and benches (`tests/`, `benches/`). Test code may use
-    /// wall clocks, unwraps and hash containers freely.
+    /// Tests, benches and examples (`tests/`, `benches/`,
+    /// `examples/`), exempt from every rule.
     TestLike,
 }
 
@@ -36,9 +34,6 @@ pub struct FileContext {
     /// Short crate id: the directory under `crates/` (`core`, `mem`,
     /// `obs`, …) or `miv` for the facade crate at the workspace root.
     pub crate_id: String,
-    /// Whether this is a crate root (`src/lib.rs`), where header
-    /// attributes like `#![forbid(unsafe_code)]` are required.
-    pub is_crate_root: bool,
 }
 
 impl FileContext {
@@ -63,16 +58,10 @@ impl FileContext {
         } else {
             "miv".to_string()
         };
-        let is_crate_root = rel_path == "src/lib.rs"
-            || (parts.first() == Some(&"crates")
-                && parts.get(2) == Some(&"src")
-                && parts.get(3) == Some(&"lib.rs")
-                && parts.len() == 4);
         FileContext {
             rel_path: rel_path.to_string(),
             kind,
             crate_id,
-            is_crate_root,
         }
     }
 }
@@ -88,6 +77,20 @@ pub struct Allow {
     pub line: usize,
 }
 
+/// A `#[expect(lint, .., reason = "...")]` attribute: a compiler-lint
+/// waiver. rustc audits it (a stale one fails the build as
+/// `unfulfilled_lint_expectations`); the analyzer only inventories it.
+#[derive(Debug, Clone)]
+pub struct Expect {
+    /// The lint paths waived (`clippy::panic`, `unsafe_code`, …).
+    pub lints: Vec<String>,
+    /// The `reason = "..."` text, whitespace-collapsed; empty when
+    /// absent (clippy's `allow_attributes_without_reason` rejects that).
+    pub reason: String,
+    /// 1-based line of the attribute's `#`.
+    pub line: usize,
+}
+
 /// A directive that did not parse (missing reason, bad syntax). These
 /// are themselves findings — an unexplained suppression is exactly the
 /// kind of drift the analyzer exists to stop.
@@ -97,17 +100,6 @@ pub struct BadDirective {
     pub line: usize,
     /// What was wrong with it.
     pub message: String,
-}
-
-/// A parsed `// miv-analyze: exhaustive` tag. The item model attaches
-/// each tag to the next `enum` definition; `exhaustive-variant-match`
-/// then requires every `match` over that enum to name every variant.
-#[derive(Debug, Clone)]
-pub struct ExhaustiveTag {
-    /// Byte offset of the tag comment.
-    pub pos: usize,
-    /// 1-based line the tag sits on.
-    pub line: usize,
 }
 
 /// A lexed file plus the derived views rules scope themselves with.
@@ -123,10 +115,15 @@ pub struct SourceFile<'a> {
     pub test_spans: Vec<(usize, usize)>,
     /// Parsed suppression directives.
     pub allows: Vec<Allow>,
+    /// `#[expect(..)]` / `#![expect(..)]` lint waivers, in byte order.
+    pub expects: Vec<Expect>,
     /// Malformed directives.
     pub bad_directives: Vec<BadDirective>,
-    /// Parsed `exhaustive` enum tags, in byte order.
-    pub exhaustive_tags: Vec<ExhaustiveTag>,
+    /// Byte offsets of `// miv-analyze: exhaustive` tags, in order.
+    /// The item model attaches each to the next `enum` definition;
+    /// `exhaustive-variant-match` then requires every `match` over that
+    /// enum to name every variant.
+    pub exhaustive_tags: Vec<usize>,
 }
 
 impl<'a> SourceFile<'a> {
@@ -150,11 +147,13 @@ impl<'a> SourceFile<'a> {
             sig,
             test_spans: Vec::new(),
             allows: Vec::new(),
+            expects: Vec::new(),
             bad_directives: Vec::new(),
             exhaustive_tags: Vec::new(),
         };
         file.test_spans = file.find_test_spans();
         file.parse_directives();
+        file.expects = file.find_expects();
         file
     }
 
@@ -324,6 +323,49 @@ impl<'a> SourceFile<'a> {
         Some(self.src.len())
     }
 
+    /// Collects every `#[expect(..)]` and `#![expect(..)]` attribute:
+    /// the comma-separated lint paths and the `reason = "..."` text.
+    fn find_expects(&self) -> Vec<Expect> {
+        let mut out = Vec::new();
+        for k in 0..self.sig.len() {
+            let open = if self.match_seq(k, &["#", "[", "expect", "("]) {
+                k + 3
+            } else if self.match_seq(k, &["#", "!", "[", "expect", "("]) {
+                k + 4
+            } else {
+                continue;
+            };
+            // Split the arguments at top-level commas; a string literal
+            // is one token, so commas inside the reason stay put.
+            let mut args = vec![String::new()];
+            let mut j = open + 1;
+            while j < self.sig.len() && self.sig_text(j) != ")" {
+                match self.sig_text(j) {
+                    "," => args.push(String::new()),
+                    t => args.last_mut().expect("starts non-empty").push_str(t),
+                }
+                j += 1;
+            }
+            let mut expect = Expect {
+                lints: Vec::new(),
+                reason: String::new(),
+                line: self.line_col(self.sig_start(k)).0,
+            };
+            for arg in args {
+                match arg.strip_prefix("reason=") {
+                    Some(lit) => {
+                        let text = lit.trim_matches('"').replace("\\\n", " ");
+                        expect.reason = text.split_whitespace().collect::<Vec<_>>().join(" ");
+                    }
+                    None if !arg.is_empty() => expect.lints.push(arg),
+                    None => {}
+                }
+            }
+            out.push(expect);
+        }
+        out
+    }
+
     /// Parses `miv-analyze: allow(rule, reason="...")` directives out
     /// of every *plain* comment token. Doc comments are skipped: they
     /// describe the directive syntax (as this crate's own docs do)
@@ -349,8 +391,7 @@ impl<'a> SourceFile<'a> {
             let rest = text[at + MARKER.len()..].trim_start();
             let rest_trimmed = rest.trim_end().trim_end_matches("*/").trim_end();
             if rest_trimmed == "exhaustive" {
-                self.exhaustive_tags
-                    .push(ExhaustiveTag { pos: t.start, line });
+                self.exhaustive_tags.push(t.start);
                 continue;
             }
             match parse_allow(rest) {
@@ -400,7 +441,6 @@ mod tests {
         let c = FileContext::from_rel_path("crates/core/src/engine.rs");
         assert_eq!(c.kind, FileKind::Lib);
         assert_eq!(c.crate_id, "core");
-        assert!(!c.is_crate_root);
 
         let c = FileContext::from_rel_path("crates/sim/src/bin/mivsim.rs");
         assert_eq!(c.kind, FileKind::Bin);
@@ -410,10 +450,6 @@ mod tests {
 
         let c = FileContext::from_rel_path("src/lib.rs");
         assert_eq!(c.crate_id, "miv");
-        assert!(c.is_crate_root);
-
-        let c = FileContext::from_rel_path("crates/obs/src/lib.rs");
-        assert!(c.is_crate_root);
 
         let c = FileContext::from_rel_path("examples/quickstart.rs");
         assert_eq!(c.kind, FileKind::TestLike);
@@ -434,20 +470,37 @@ mod tests {
 
     #[test]
     fn parses_allow_directive() {
-        let src = "// miv-analyze: allow(no-wall-clock, reason=\"bench harness\")\nfn f() {}\n";
+        let src = "// miv-analyze: allow(rc-not-sent, reason=\"snapshot absorb\")\nfn f() {}\n";
         let f = SourceFile::new(src);
         assert_eq!(f.allows.len(), 1);
-        assert_eq!(f.allows[0].rule, "no-wall-clock");
-        assert_eq!(f.allows[0].reason, "bench harness");
+        assert_eq!(f.allows[0].rule, "rc-not-sent");
+        assert_eq!(f.allows[0].reason, "snapshot absorb");
         assert_eq!(f.allows[0].line, 1);
         assert!(f.bad_directives.is_empty());
     }
 
     #[test]
     fn rejects_reasonless_directive() {
-        let src = "// miv-analyze: allow(no-wall-clock)\n";
+        let src = "// miv-analyze: allow(rc-not-sent)\n";
         let f = SourceFile::new(src);
         assert!(f.allows.is_empty());
         assert_eq!(f.bad_directives.len(), 1);
+    }
+
+    #[test]
+    fn finds_expect_attributes() {
+        let src = "#![expect(unsafe_code, reason = \"alloc shim\")]\n\
+                   #[expect(\n    clippy::panic,\n    clippy::todo,\n    reason = \"a \\\n     b\"\n)]\n\
+                   fn f() {}\n\
+                   // #[expect(clippy::panic, reason = \"in a comment\")]\n\
+                   fn g() -> &'static str { \"#[expect(x, reason = \\\"y\\\")]\" }\n";
+        let f = SourceFile::new(src);
+        assert_eq!(f.expects.len(), 2, "{:?}", f.expects);
+        assert_eq!(f.expects[0].lints, ["unsafe_code"]);
+        assert_eq!(f.expects[0].reason, "alloc shim");
+        assert_eq!(f.expects[0].line, 1);
+        assert_eq!(f.expects[1].lints, ["clippy::panic", "clippy::todo"]);
+        assert_eq!(f.expects[1].reason, "a b");
+        assert_eq!(f.expects[1].line, 2);
     }
 }

@@ -5,11 +5,17 @@
 //! fixtures under `tests/fixtures/`: trees that *must* fail with a
 //! specific rule, proving the cross-file rules actually fire (a rule
 //! that never fires is indistinguishable from a no-op).
+//!
+//! The compiler-enforced invariants (root `clippy.toml` plus
+//! `[workspace.lints]`) are checked here only structurally: every
+//! package opts in, and the `neg_lints` fire fixture carries the same
+//! lint table. CI runs clippy on that fixture and expects each lint to
+//! fire.
 
 use std::path::Path;
 use std::process::Command;
 
-use miv_analyze::{analyze_workspace, findings_json, sarif_json};
+use miv_analyze::{analyze_workspace, find_rule, findings_json, sarif_json};
 
 fn workspace_root() -> std::path::PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("..").join("..")
@@ -45,9 +51,63 @@ fn workspace_is_clean() {
     assert!(report.counts.matches > 50, "match census looks empty");
     // Every suppression that shipped carries a justification.
     assert!(report.suppressed.iter().all(|s| !s.reason.is_empty()));
-    // And every allow site survived the unused-suppression audit (a
-    // stale allow would have surfaced as a finding above).
-    assert_eq!(report.suppressed.len(), report.allow_sites.len());
+    // And every analyzer allow site survived the unused-suppression
+    // audit (a stale allow would have surfaced as a finding above);
+    // the remaining inventory entries are reasoned `#[expect]`s, which
+    // rustc audits.
+    let directives = report
+        .allow_sites
+        .iter()
+        .filter(|a| find_rule(&a.rule).is_some())
+        .count();
+    assert_eq!(report.suppressed.len(), directives);
+    assert!(report.allow_sites.iter().all(|a| !a.reason.is_empty()));
+}
+
+/// A manifest's `[<prefix>.*]` tables, headers renamed to `[lints.*]`.
+fn lint_tables(manifest: &str, prefix: &str) -> String {
+    let header = format!("[{prefix}.");
+    let lines: Vec<String> = manifest
+        .lines()
+        .skip_while(|l| !l.starts_with(&header))
+        .take_while(|l| !l.starts_with('[') || l.starts_with(&header))
+        .map(|l| l.replacen(&header, "[lints.", 1))
+        .collect();
+    lines.join("\n").trim_end().to_string()
+}
+
+#[test]
+fn every_package_opts_into_the_workspace_lint_table() {
+    let root = workspace_root();
+    let mut manifests = vec![root.join("Cargo.toml")];
+    for entry in std::fs::read_dir(root.join("crates")).expect("read crates/") {
+        manifests.push(entry.expect("crates/ entry").path().join("Cargo.toml"));
+    }
+    assert!(manifests.len() > 10, "found only {manifests:?}");
+    for manifest in manifests {
+        let text = std::fs::read_to_string(&manifest).expect("read manifest");
+        assert!(
+            text.contains("\n[lints]\nworkspace = true\n"),
+            "{} does not opt into [workspace.lints]",
+            manifest.display()
+        );
+    }
+    // The fire fixture CI lints must carry the very same table.
+    let want = lint_tables(
+        &std::fs::read_to_string(root.join("Cargo.toml")).expect("root"),
+        "workspace.lints",
+    );
+    assert!(
+        want.contains("unsafe_code") && want.contains("disallowed_methods"),
+        "{want}"
+    );
+    let fixture = std::fs::read_to_string(fixture_root("neg_lints").join("Cargo.toml"))
+        .expect("neg_lints manifest");
+    assert_eq!(
+        lint_tables(&fixture, "lints"),
+        want,
+        "neg_lints [lints] drifted"
+    );
 }
 
 #[test]
@@ -102,7 +162,7 @@ fn list_rules_is_sorted_with_family_column() {
         .lines()
         .filter_map(|l| l.split_whitespace().next())
         .collect();
-    assert!(ids.len() >= 13, "catalogue shrank: {ids:?}");
+    assert_eq!(ids.len(), 8, "catalogue changed: {ids:?}");
     let mut sorted = ids.clone();
     sorted.sort_unstable();
     assert_eq!(ids, sorted, "--list-rules must print in id order");

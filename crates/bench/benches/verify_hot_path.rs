@@ -19,8 +19,13 @@
 //!   (`--tolerance PCT`, default 20). Ratios of two same-machine
 //!   measurements are gated, not raw wall-clock numbers, so the gate is
 //!   meaningful on hardware other than the one that made the baseline.
+//!
+//! Relative `--json` and `--check` paths resolve against the workspace
+//! root, so `-- --check BENCH_hotpath.json` works from `cargo bench`
+//! (which runs the binary in `crates/bench`) and from the root alike.
 
 use std::hint::black_box;
+use std::path::Path;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -74,7 +79,8 @@ fn mac_engine() -> VerifiedMemory {
 fn read_pass(mem: &mut VerifiedMemory, buf: &mut [u8]) {
     let mut addr = 0u64;
     while addr < WORKING_SET {
-        mem.read(addr, buf).unwrap();
+        mem.read(addr, buf)
+            .expect("verified read of untampered memory");
         addr += LINE;
     }
 }
@@ -82,7 +88,8 @@ fn read_pass(mem: &mut VerifiedMemory, buf: &mut [u8]) {
 /// Dirty `n` blocks spread across distinct chunks.
 fn dirty_blocks(mem: &mut VerifiedMemory, n: u64) {
     for i in 0..n {
-        mem.write(i * LINE, &[i as u8; LINE as usize]).unwrap();
+        mem.write(i * LINE, &[i as u8; LINE as usize])
+            .expect("write inside the data segment");
     }
 }
 
@@ -103,8 +110,9 @@ fn main() -> ExitCode {
             .and_then(|i| args.get(i + 1))
             .cloned()
     };
-    let json_out = flag_value("--json");
-    let check = flag_value("--check");
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let json_out = flag_value("--json").map(|p| root.join(p));
+    let check = flag_value("--check").map(|p| root.join(p));
     let tolerance_pct: f64 = flag_value("--tolerance")
         .map(|v| v.parse().expect("--tolerance takes a number"))
         .unwrap_or(20.0);
@@ -158,7 +166,7 @@ fn main() -> ExitCode {
             dirty_blocks(&mut mem, DIRTY);
             mem
         },
-        |mut mem| mem.flush().unwrap(),
+        |mut mem| mem.flush().expect("flush of untampered memory"),
     );
     h.bench_with_setup(
         "hot_path/flush_scalar",
@@ -167,7 +175,7 @@ fn main() -> ExitCode {
             dirty_blocks(&mut mem, DIRTY);
             mem
         },
-        |mut mem| mem.flush().unwrap(),
+        |mut mem| mem.flush().expect("flush of untampered memory"),
     );
 
     // Raw primitive: four chunk-sized messages (64 B data + covered
@@ -280,27 +288,25 @@ fn main() -> ExitCode {
     if let Some(path) = json_out {
         let text = format!("{}\n", report.render_pretty());
         std::fs::write(&path, text).expect("write --json report");
-        println!("wrote {path}");
+        println!("wrote {}", path.display());
     }
 
     if let Some(path) = check {
         let text = std::fs::read_to_string(&path).expect("read --check baseline");
         let baseline = JsonValue::parse(&text).expect("parse baseline JSON");
-        let base = |key: &str| {
-            baseline
-                .get(key)
-                .and_then(JsonValue::as_f64)
-                .unwrap_or_else(|| panic!("baseline missing {key}"))
-        };
         // Gate machine-independent ratios, not raw wall-clock numbers.
         let floor = 1.0 - tolerance_pct / 100.0;
         let mut ok = true;
-        for (name, measured, committed) in [
-            ("memoization_speedup", speedup, base("memoization_speedup")),
-            ("md5_4lane_ratio", md5_ratio, base("md5_4lane_ratio")),
-            ("sha256_lane_ratio", sha256_ratio, base("sha256_lane_ratio")),
-            ("bulk_build_ratio", bulk_ratio, base("bulk_build_ratio")),
+        for (name, measured) in [
+            ("memoization_speedup", speedup),
+            ("md5_4lane_ratio", md5_ratio),
+            ("sha256_lane_ratio", sha256_ratio),
+            ("bulk_build_ratio", bulk_ratio),
         ] {
+            let Some(committed) = baseline.get(name).and_then(JsonValue::as_f64) else {
+                eprintln!("bench-gate: baseline {} has no `{name}`", path.display());
+                return ExitCode::FAILURE;
+            };
             let verdict = if measured >= committed * floor {
                 "ok"
             } else {

@@ -21,7 +21,6 @@
 //! (`cargo bench -p miv-bench --bench figures -- fig4`).
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 use std::time::{Duration, Instant};
 
@@ -114,6 +113,10 @@ impl Harness {
         self.bench_inner(name, Some(bytes), f);
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the bench Harness exists to measure real time; sim/core never link it"
+    )]
     fn bench_inner<R>(&mut self, name: &str, bytes: Option<u64>, mut f: impl FnMut() -> R) {
         if self.skip(name) {
             return;
@@ -122,7 +125,6 @@ impl Harness {
         let mut batch = 1u64;
         let floor = Duration::from_millis(2);
         loop {
-            // miv-analyze: allow(no-wall-clock, reason="the bench Harness exists to measure real time; sim/core never link it")
             let t0 = Instant::now();
             for _ in 0..batch {
                 std::hint::black_box(f());
@@ -135,17 +137,14 @@ impl Harness {
         // Measure: best of up to three batches within the time budget.
         let rounds = 3;
         let mut best = f64::INFINITY;
-        // miv-analyze: allow(no-wall-clock, reason="the bench Harness exists to measure real time; sim/core never link it")
         let deadline = Instant::now() + self.target;
         for round in 0..rounds {
-            // miv-analyze: allow(no-wall-clock, reason="the bench Harness exists to measure real time; sim/core never link it")
             let t0 = Instant::now();
             for _ in 0..batch {
                 std::hint::black_box(f());
             }
             let per = t0.elapsed().as_nanos() as f64 / batch as f64;
             best = best.min(per);
-            // miv-analyze: allow(no-wall-clock, reason="the bench Harness exists to measure real time; sim/core never link it")
             if round + 1 < rounds && Instant::now() >= deadline {
                 break;
             }
@@ -159,6 +158,10 @@ impl Harness {
     /// timed individually and the best one is reported — the same
     /// best-of convention as the batched path, which keeps allocator and
     /// scheduler noise out of A/B comparisons.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the bench Harness exists to measure real time; sim/core never link it"
+    )]
     pub fn bench_with_setup<S, R>(
         &mut self,
         name: &str,
@@ -173,7 +176,6 @@ impl Harness {
         let mut spent = Duration::ZERO;
         while iters < 3 || (spent < self.target && iters < 1000) {
             let input = setup();
-            // miv-analyze: allow(no-wall-clock, reason="the bench Harness exists to measure real time; sim/core never link it")
             let t0 = Instant::now();
             std::hint::black_box(routine(input));
             let dt = t0.elapsed();

@@ -21,6 +21,10 @@ thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
+#[expect(
+    unsafe_code,
+    reason = "a counting GlobalAlloc must implement an unsafe trait; it stays in this test, outside the forbid(unsafe_code) library crates"
+)]
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.with(|c| c.set(c.get() + 1));

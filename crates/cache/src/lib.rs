@@ -25,7 +25,6 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 mod config;
 mod observe;
@@ -33,7 +32,7 @@ mod policy;
 mod set_assoc;
 mod stats;
 
-pub use config::CacheConfig;
+pub use config::{CacheConfig, GeometryError};
 pub use observe::{CacheObserver, KindCounters};
 pub use policy::ReplacementPolicy;
 pub use set_assoc::{Cache, Eviction, LookupResult};

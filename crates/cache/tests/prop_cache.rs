@@ -28,7 +28,7 @@ impl RefCache {
         let tag = self.config.tag(addr);
         let set = &mut self.sets[self.config.set_index(addr) as usize];
         if let Some(pos) = set.iter().position(|(t, _)| *t == tag) {
-            let (t, d) = set.remove(pos).unwrap();
+            let (t, d) = set.remove(pos).expect("position came from this set");
             set.push_back((t, d || write));
             true
         } else {
@@ -187,7 +187,7 @@ fn flush_reports_all_dirty_lines() {
     for _case in 0..64 {
         let config = CacheConfig::new(1024, 2, 64);
         let mut c = Cache::new(config);
-        let mut dirty_now = std::collections::HashMap::new();
+        let mut dirty_now = std::collections::BTreeMap::new();
         let n = rng.gen_range_usize(1, 100);
         for _ in 0..n {
             let line = rng.gen_range_u64(0, 32);

@@ -1034,11 +1034,14 @@ impl VerifiedMemory {
 
     /// Paranoid mode (set MIV_PARANOID=1): audit the whole-tree invariant
     /// after a state-changing step. Used by stress tests.
+    #[expect(
+        clippy::panic,
+        reason = "MIV_PARANOID is an opt-in stress-audit mode; aborting at the first broken invariant is its contract"
+    )]
     fn paranoid_check(&mut self, what: std::fmt::Arguments<'_>) {
         static PARANOID: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
         if *PARANOID.get_or_init(|| std::env::var_os("MIV_PARANOID").is_some()) {
             if let Err(e) = self.audit_invariant() {
-                // miv-analyze: allow(no-unwrap-in-lib, reason="MIV_PARANOID is an opt-in stress-audit mode; aborting at the first broken invariant is its contract")
                 panic!("after {what}: {e}");
             }
         }

@@ -460,7 +460,7 @@ mod tests {
     #[test]
     fn every_chunk_has_exactly_one_hash_location() {
         let l = TreeLayout::new(64 * 1024, 64, 64);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for chunk in 0..l.total_chunks() {
             let key = match l.parent(chunk) {
                 ParentRef::Secure { index } => (u64::MAX, index),

@@ -35,7 +35,6 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod adversary;
 pub mod engine;

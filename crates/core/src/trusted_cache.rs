@@ -25,7 +25,10 @@ use std::hash::{BuildHasher, Hasher};
 
 use crate::error::ConfigError;
 
-// miv-analyze: allow(deterministic-iteration, reason="lookup-only index from block address to slot; iter_blocks and dirty_blocks walk the slot array, never this map")
+#[expect(
+    clippy::disallowed_types,
+    reason = "lookup-only index from block address to slot; iter_blocks and dirty_blocks walk the slot array, never this map"
+)]
 type SlotIndex = std::collections::HashMap<u64, u32, BlockHash>;
 
 /// End-of-list marker for the recency links.

@@ -37,7 +37,7 @@ fn layout_slots_unique() {
     for _case in 0..48 {
         let data_chunks = rng.gen_range_u64(1, 3000);
         let l = TreeLayout::new(data_chunks * 64, 64, 64);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for c in 0..l.total_chunks() {
             let key = match l.parent(c) {
                 ParentRef::Secure { index } => (u64::MAX, index),

@@ -6,6 +6,10 @@
 //! after each of ~100k fixed-seed operations the two caches must agree
 //! on the value returned, `victim()`, `len`, the hit and miss counters
 //! and the sorted dirty set.
+#![expect(
+    clippy::disallowed_types,
+    reason = "the reference cache is kept verbatim, HashMap index included"
+)]
 
 use std::collections::{BTreeMap, HashMap};
 

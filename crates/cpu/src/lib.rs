@@ -41,7 +41,6 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 mod core_model;
 mod inst;

@@ -221,7 +221,7 @@ mod tests {
     #[test]
     fn prp_roundtrip_and_permutation() {
         let prp = Prp120::new(*b"narrow-prp-key!!");
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for i in 0..512u32 {
             let mut block = [0u8; 15];
             block[0..4].copy_from_slice(&i.to_le_bytes());

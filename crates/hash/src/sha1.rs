@@ -133,7 +133,10 @@ fn compress_multi<const N: usize>(states: &mut [[u32; 5]; N], blocks: &[&[u8; 64
     let mut e: [u32; N] = std::array::from_fn(|l| states[l][4]);
     // The round counter selects k/f AND indexes every lane's schedule;
     // an enumerate over one lane's `w` would misread the lockstep shape.
-    #[allow(clippy::needless_range_loop)]
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "the round counter indexes every lane's schedule in lockstep"
+    )]
     for i in 0..80 {
         let k: u32 = match i / 20 {
             0 => 0x5a827999,

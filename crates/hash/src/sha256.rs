@@ -158,9 +158,6 @@ fn compress_multi<const N: usize>(states: &mut [[u32; 8]; N], blocks: &[&[u8; 64
     let mut f: [u32; N] = std::array::from_fn(|l| states[l][5]);
     let mut g: [u32; N] = std::array::from_fn(|l| states[l][6]);
     let mut h: [u32; N] = std::array::from_fn(|l| states[l][7]);
-    // The round counter indexes K AND every lane's schedule; an
-    // enumerate over one lane's `w` would misread the lockstep shape.
-    #[allow(clippy::needless_range_loop)]
     for i in 0..64 {
         for l in 0..N {
             let s1 = e[l].rotate_right(6) ^ e[l].rotate_right(11) ^ e[l].rotate_right(25);

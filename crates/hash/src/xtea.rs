@@ -248,7 +248,7 @@ mod tests {
     fn prp_is_a_permutation_on_a_sample() {
         // Distinct inputs must map to distinct outputs.
         let prp = Prp128::new([9u8; 16]);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for i in 0..512u16 {
             let mut block = [0u8; 16];
             block[0] = (i >> 8) as u8;

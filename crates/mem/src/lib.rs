@@ -25,7 +25,6 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 mod bus;
 mod observe;

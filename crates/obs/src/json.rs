@@ -39,7 +39,10 @@ impl JsonValue {
     pub fn push(&mut self, key: &str, value: impl Into<JsonValue>) -> &mut Self {
         match self {
             JsonValue::Object(fields) => fields.push((key.to_string(), value.into())),
-            // miv-analyze: allow(no-unwrap-in-lib, reason="documented '# Panics' contract: pushing onto a non-object is a programming error, never data-dependent")
+            #[expect(
+                clippy::panic,
+                reason = "documented '# Panics' contract: pushing onto a non-object is a programming error, never data-dependent"
+            )]
             other => panic!("push on non-object JsonValue: {other:?}"),
         }
         self

@@ -37,7 +37,6 @@
 //! crates) so every layer of the stack can use it.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod events;
 pub mod json;

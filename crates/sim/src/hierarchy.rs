@@ -3,6 +3,7 @@
 
 use miv_cache::{Cache, CacheObserver, LineKind};
 use miv_core::timing::L2Controller;
+use miv_core::ConfigError;
 use miv_cpu::{Cycle, MemoryPort};
 use miv_obs::{EventSink, Registry};
 
@@ -25,14 +26,22 @@ pub struct Hierarchy {
 }
 
 impl Hierarchy {
-    /// Builds the hierarchy for a machine configuration.
+    /// Builds the hierarchy for a machine configuration; panics where
+    /// [`try_new`](Self::try_new) returns an error.
     pub fn new(config: &SystemConfig) -> Self {
-        Hierarchy {
+        Self::try_new(config).expect("documented invariant")
+    }
+
+    /// The fallible form of [`new`](Self::new): returns the
+    /// [`ConfigError`] of [`L2Controller::try_new`] instead of panicking
+    /// on a checker geometry that cannot work.
+    pub fn try_new(config: &SystemConfig) -> Result<Self, ConfigError> {
+        Ok(Hierarchy {
             l1: Cache::new(config.l1),
             l1_latency: config.l1_latency,
-            l2: L2Controller::new(config.checker, config.l2, config.bus),
+            l2: L2Controller::try_new(config.checker, config.l2, config.bus)?,
             l1_writebacks: 0,
-        }
+        })
     }
 
     /// Wires the whole hierarchy into a metrics registry and event

@@ -21,7 +21,6 @@
 //! figures -- all`).
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod attack;
 pub mod cli;

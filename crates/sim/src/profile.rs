@@ -152,7 +152,7 @@ impl ProfileSpec {
         for &scheme in &Scheme::ALL {
             L2Controller::try_new(
                 self.checker_config(scheme),
-                CacheConfig::l2(self.l2_bytes, self.line_bytes),
+                CacheConfig::try_l2(self.l2_bytes, self.line_bytes)?,
                 MemoryBusConfig::default(),
             )?;
         }

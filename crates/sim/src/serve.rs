@@ -293,7 +293,7 @@ impl ShardSpec {
     pub fn validate(&self) -> Result<(), ConfigError> {
         L2Controller::try_new(
             self.checker_config(),
-            CacheConfig::l2(self.l2_bytes, self.line_bytes),
+            CacheConfig::try_l2(self.l2_bytes, self.line_bytes)?,
             MemoryBusConfig::default(),
         )?;
         self.memory_builder().validate()

@@ -1,5 +1,6 @@
 //! The assembled machine and measurement runs.
 
+use miv_core::ConfigError;
 use miv_cpu::Core;
 use miv_obs::JsonValue;
 use miv_trace::{Profile, TraceGenerator};
@@ -112,15 +113,29 @@ impl System {
     ///
     /// # Panics
     ///
-    /// Panics if the profile's working set exceeds the checker's
-    /// protected segment.
+    /// Panics where [`try_new`](Self::try_new) returns an error, e.g. if
+    /// the profile's working set exceeds the checker's protected
+    /// segment.
     pub fn new(config: SystemConfig, profile: Profile, seed: u64) -> Self {
-        assert!(
-            profile.working_set <= config.checker.protected_bytes,
-            "working set larger than the protected segment"
-        );
-        let hierarchy = Hierarchy::new(&config);
-        System {
+        Self::try_new(config, profile, seed).expect("documented invariant")
+    }
+
+    /// The fallible form of [`new`](Self::new), for user-supplied
+    /// specs: a malformed profile, a working set larger than the
+    /// protected segment or a checker geometry that cannot work is a
+    /// [`ConfigError`], not a panic.
+    pub fn try_new(config: SystemConfig, profile: Profile, seed: u64) -> Result<Self, ConfigError> {
+        profile
+            .try_validate()
+            .map_err(ConfigError::InvalidProfile)?;
+        if profile.working_set > config.checker.protected_bytes {
+            return Err(ConfigError::WorkingSetTooLarge {
+                working_set: profile.working_set,
+                protected_bytes: config.checker.protected_bytes,
+            });
+        }
+        let hierarchy = Hierarchy::try_new(&config)?;
+        Ok(System {
             core: Core::new(config.core, hierarchy),
             trace: TraceGenerator::new(profile, seed),
             benchmark: profile.name.to_string(),
@@ -129,7 +144,7 @@ impl System {
             // resident for steady state; the far region never fits.
             prewarm_span: profile.mid_set,
             prewarmed: false,
-        }
+        })
     }
 
     /// Functional cache warm-up: touches the tail of the working set once
@@ -467,10 +482,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "working set larger")]
+    #[should_panic(expected = "WorkingSetTooLarge")]
     fn oversized_working_set_rejected() {
         let mut cfg = SystemConfig::hpca03(Scheme::CHash, 256 << 10, 64);
         cfg.checker.protected_bytes = 1 << 20;
+        let mcf = Benchmark::Mcf.profile();
+        let err = System::try_new(cfg, mcf, 1).unwrap_err();
+        assert!(
+            matches!(err, ConfigError::WorkingSetTooLarge { .. }),
+            "{err}"
+        );
+        // An 8-byte chunk holds no two 16-byte digests.
+        let tiny = SystemConfig::hpca03(Scheme::CHash, 256 << 10, 8);
+        let err = System::try_new(tiny, mcf, 1).unwrap_err();
+        assert!(matches!(err, ConfigError::ArityTooSmall { .. }), "{err}");
         let _ = System::for_benchmark(cfg, Benchmark::Mcf, 1);
     }
 }

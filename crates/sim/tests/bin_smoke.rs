@@ -278,6 +278,36 @@ fn mivsim_rejects_bad_args() {
     assert!(stderr.contains("unknown option --working-set"), "{stderr}");
     let (ok, _, _) = run(exe, &[]);
     assert!(!ok);
+    // Bad geometry is a message and exit 1, never a panic.
+    for (args, message) in [
+        (
+            &["--l2", "3K"][..],
+            "cache size must be a power of two, got 3072",
+        ),
+        (&["--l2", "1"][..], "too small for 4 ways of 64 B lines"),
+        (
+            &["--protected", "0"][..],
+            "larger than the 0 B protected segment",
+        ),
+        (
+            &["--custom", "ws=1G,mid=1G,hot=1G"][..],
+            "working set of 1073741824 B is larger than the 268435456 B protected segment",
+        ),
+        (
+            &["sweep", "--protected", "0"][..],
+            "larger than the 0 B protected",
+        ),
+        (
+            &["serve", "--quick", "--l2", "3K"][..],
+            "must be a power of two",
+        ),
+    ] {
+        let out = Command::new(exe).args(args).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
 }
 
 #[test]

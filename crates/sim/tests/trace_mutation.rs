@@ -31,6 +31,10 @@ fn note(size: usize) {
     LARGEST.with(|c| c.set(c.get().max(size)));
 }
 
+#[expect(
+    unsafe_code,
+    reason = "a counting GlobalAlloc must implement an unsafe trait; it stays in this test, outside the forbid(unsafe_code) library crates"
+)]
 unsafe impl GlobalAlloc for PeakAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note(layout.size());

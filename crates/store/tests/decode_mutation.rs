@@ -104,10 +104,12 @@ fn probe(
         let mut input = valid.to_vec();
         mutate(&mut rng, &mut input);
         forge(&mut rng, &mut input);
-        match catch_unwind(AssertUnwindSafe(|| decode(&input))) {
-            Ok(ok) => decoded += u32::from(ok),
-            Err(_) => panic!("{target} mutation {i} panicked on input {input:02x?}"),
-        }
+        let outcome = catch_unwind(AssertUnwindSafe(|| decode(&input)));
+        assert!(
+            outcome.is_ok(),
+            "{target} mutation {i} panicked on input {input:02x?}"
+        );
+        decoded += u32::from(outcome.unwrap_or(false));
     }
     assert!(
         decoded > MUTATIONS / 4,

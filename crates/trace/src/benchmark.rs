@@ -18,7 +18,10 @@ use crate::profile::Profile;
 /// * `applu`, `art`, `swim` — streaming FP codes that never fit: maximal
 ///   **bandwidth pollution**, and ~10× slowdowns under the naive scheme.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[allow(missing_docs)]
+#[expect(
+    missing_docs,
+    reason = "each variant is a SPEC CPU2000 benchmark described above"
+)]
 pub enum Benchmark {
     Gcc,
     Gzip,

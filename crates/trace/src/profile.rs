@@ -103,9 +103,12 @@ impl Profile {
     ///
     /// Panics with the message from [`try_validate`](Self::try_validate)
     /// on the first invalid parameter.
+    #[expect(
+        clippy::panic,
+        reason = "documented '# Panics' assert API; try_validate is the non-panicking form"
+    )]
     pub fn validate(&self) {
         if let Err(msg) = self.try_validate() {
-            // miv-analyze: allow(no-unwrap-in-lib, reason="documented '# Panics' assert API; try_validate is the non-panicking form")
             panic!("{msg}");
         }
     }

@@ -10,7 +10,7 @@
 
 use miv::core::{MemoryBuilder, TamperKind};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1 MiB of protected data, 64-byte chunks → a 4-ary Merkle tree with
     // only the root held on-chip.
     let mut mem = MemoryBuilder::new()
@@ -24,9 +24,9 @@ fn main() {
     );
 
     // Ordinary program activity: write, read back, flush to RAM.
-    mem.write(0x4000, b"account balance: 1000 credits").unwrap();
-    mem.flush().unwrap();
-    let back = mem.read_vec(0x4000, 29).unwrap();
+    mem.write(0x4000, b"account balance: 1000 credits")?;
+    mem.flush()?;
+    let back = mem.read_vec(0x4000, 29)?;
     println!("read back: {:?}", String::from_utf8_lossy(&back));
 
     let stats = mem.stats();
@@ -36,7 +36,7 @@ fn main() {
     );
 
     // The attacker strikes: a single flipped bit in external RAM.
-    mem.clear_cache().unwrap();
+    mem.clear_cache()?;
     let phys = mem.layout().data_phys_addr(0x4000 + 17);
     mem.adversary().tamper(phys, TamperKind::BitFlip { bit: 5 });
     println!("\nadversary flips one bit of the balance in external RAM...");
@@ -46,4 +46,5 @@ fn main() {
         Err(err) => println!("integrity exception: {err}"),
     }
     println!("the processor aborts the task; its signing key is never used again.");
+    Ok(())
 }
